@@ -69,6 +69,9 @@ struct AdmissionDecision {
   double slack = 0.0;
   /// Zero-based rank the task would take in the pending order.
   std::size_t queue_position = 0;
+
+  friend bool operator==(const AdmissionDecision&,
+                         const AdmissionDecision&) = default;
 };
 
 class AdmissionPolicy {

@@ -21,14 +21,16 @@ void adaptive_sort(std::vector<T>& v, Less less) {
   for (std::size_t i = 1; i < v.size(); ++i)
     if (less(v[i], v[i - 1])) ++inversions;
   if (inversions == 0) return;
-  // A handful of adjacent inversions means "one new arrival plus drift":
-  // insertion sort finishes in O(n + displacement). Anything messier (first
-  // quote at a new instant after scores moved arbitrarily) falls back to
-  // std::sort, also if the move budget trips mid-pass — few adjacent
-  // inversions do not bound total displacement (e.g. a sorted array rotated
-  // by a few elements has a handful of adjacent inversions but O(n) moves
-  // per insertion).
-  if (inversions <= 16) {
+  // Adjacent inversions that are few relative to n mean drift — scores
+  // moved a little since the last sort, plus a handful of arrivals at the
+  // back: insertion sort finishes in O(n + displacement). On a large
+  // backlog even small drift makes dozens of them, so the cut-off scales
+  // with n. Anything messier (the first sort of a fresh queue) falls back
+  // to std::sort, also if the move budget trips mid-pass — few adjacent
+  // inversions do not bound total displacement (e.g. a sorted array
+  // rotated by a few elements has a handful of adjacent inversions but
+  // O(n) moves per insertion).
+  if (inversions <= 16 + v.size() / 8) {
     std::size_t moves = 0;
     const std::size_t budget = 4 * v.size() + 256;
     for (std::size_t i = 1; i < v.size(); ++i) {

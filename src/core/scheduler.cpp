@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/dispatch_select.hpp"
 #include "core/rank_sort.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -129,9 +130,9 @@ double SiteScheduler::score_of(TaskState& ts, double rpt,
   return fresh_score(ts, rpt, mix);
 }
 
-void SiteScheduler::batch_fresh_scores(std::span<TaskState* const> tasks,
-                                       const MixView& mix) {
+void SiteScheduler::batch_fresh_scores(const MixView& mix) {
   MBTS_PROF_SCOPE("scheduler/rescore");
+  const std::span<TaskState* const> tasks = pending_;
   const std::size_t n = tasks.size();
   batch_scores_.resize(n);
   if (!policy_cacheable_) {
@@ -141,7 +142,7 @@ void SiteScheduler::batch_fresh_scores(std::span<TaskState* const> tasks,
     return;
   }
   if (kernel_enabled_) {
-    kernel_fresh_scores(tasks, mix);
+    kernel_fresh_scores(mix);
     return;
   }
   batch_caches_.resize(n);
@@ -248,22 +249,17 @@ void SiteScheduler::kernel_refresh_columns(const MixView& mix) {
   }
 }
 
-void SiteScheduler::kernel_fresh_scores(std::span<TaskState* const> tasks,
-                                        const MixView& mix) {
+void SiteScheduler::kernel_fresh_scores(const MixView& mix) {
   MBTS_PROF_SCOPE("scheduler/kernel_rescore");
-  const std::size_t n = tasks.size();
-  // Both call sites scan exactly the whole pending set (pending_ itself or
-  // rank_order_, a permutation of it), so per-slot scores computed once
-  // cover any scan order via the queue_pos gather below.
-  MBTS_DCHECK(columns_.size() == n);
+  MBTS_DCHECK(columns_.size() == pending_.size() &&
+              batch_scores_.size() == pending_.size());
   kernel_refresh_columns(mix);
-  kernel_scores_.resize(n);
   policy_->kernel_priority(columns_.view(), columns_.cache_a(),
                            columns_.cache_b(), columns_.cache_c(), mix,
-                           kernel_variant(), kernel_scores_.data());
-  for (std::size_t i = 0; i < n; ++i)
-    batch_scores_[i] = kernel_scores_[tasks[i]->queue_pos];
+                           kernel_variant(), batch_scores_.data());
 #ifndef NDEBUG
+  const std::span<TaskState* const> tasks = pending_;
+  const std::size_t n = tasks.size();
   if (config_.score_kernels == ScoreKernelMode::kExact) {
     // Bit-identity cross-check against the scalar path. Exhaustive up to
     // 4096 pending; beyond that a strided sample keeps debug builds of the
@@ -285,13 +281,6 @@ void SiteScheduler::kernel_fresh_scores(std::span<TaskState* const> tasks,
 bool SiteScheduler::rank_less(const Scored& a, const Scored& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.ts->task.id < b.ts->task.id;
-}
-
-void SiteScheduler::adaptive_rank_sort() {
-  // Shared warm-start implementation (core/rank_sort.hpp); the churn
-  // cross-check against std::sort lives in tests/test_rank_sort.cpp, and
-  // the call site DCHECKs the post-condition.
-  adaptive_sort(scored_, rank_less);
 }
 
 const MixView& SiteScheduler::mix_refresh() {
@@ -338,17 +327,19 @@ SiteScheduler::TaskState& SiteScheduler::acquire_state() {
 }
 
 void SiteScheduler::push_pending(TaskState& ts) {
+  bump_epoch();
   ts.queue_pos = static_cast<std::uint32_t>(pending_.size());
   pending_.push_back(&ts);
   // The SoA mirror gets the same slot: queue_rpt is already latched by
   // every caller, and ts.task is stable storage (states_ is a deque).
   if (kernel_enabled_) columns_.push(ts.task, ts.queue_rpt);
-  // New arrivals join the rank cache at the back; the next quote's repair
-  // pass walks them into place.
-  rank_order_.push_back(&ts);
+  // New arrivals join the rank cache at the back; the next ranking's
+  // repair pass walks them into place.
+  rank_order_.push_back(ts.queue_pos);
 }
 
 void SiteScheduler::erase_pending(TaskState& ts) {
+  bump_epoch();
   const std::uint32_t pos = ts.queue_pos;
   MBTS_DCHECK(pos < pending_.size() && pending_[pos] == &ts);
   pending_[pos] = pending_.back();
@@ -356,17 +347,26 @@ void SiteScheduler::erase_pending(TaskState& ts) {
   pending_.pop_back();
   // Same swap-with-back on the SoA mirror keeps slot i == pending_[i].
   if (kernel_enabled_) columns_.swap_erase(pos);
-  const auto it = std::find(rank_order_.begin(), rank_order_.end(), &ts);
-  MBTS_DCHECK(it != rank_order_.end());
-  rank_order_.erase(it);
+  // The rank cache names slots: drop `pos`, and rename the last slot,
+  // whose task the swap just moved into `pos`. One pass keeps the order.
+  const auto last = static_cast<std::uint32_t>(pending_.size());
+  std::size_t out = 0;
+  for (const std::uint32_t slot : rank_order_) {
+    if (slot == pos) continue;
+    rank_order_[out++] = slot == last ? pos : slot;
+  }
+  MBTS_DCHECK(out + 1 == rank_order_.size());
+  rank_order_.pop_back();
 }
 
 void SiteScheduler::push_running(TaskState& ts) {
+  bump_epoch();
   ts.queue_pos = static_cast<std::uint32_t>(running_.size());
   running_.push_back(&ts);
 }
 
 void SiteScheduler::erase_running(TaskState& ts) {
+  bump_epoch();
   const std::uint32_t pos = ts.queue_pos;
   MBTS_DCHECK(pos < running_.size() && running_[pos] == &ts);
   running_[pos] = running_.back();
@@ -374,28 +374,35 @@ void SiteScheduler::erase_running(TaskState& ts) {
   running_.pop_back();
 }
 
-AdmissionContext SiteScheduler::build_admission_context(
-    const MixView& mix, const Task& candidate) {
+void SiteScheduler::rank_pending(const MixView& mix) {
+  MBTS_PROF_SCOPE("scheduler/rank");
   // Score every pending task once — one batched policy call — ranked by
-  // (score desc, id asc), the same order dispatch would use. The scan walks
-  // rank_order_ (the order the previous quote established), so the sort is
-  // normally a cheap repair pass. The scores and per-task decay rates ride
-  // along in the context so the projection never rescans the queue.
+  // (score desc, id asc). The scan walks rank_order_ (the order the
+  // previous quote or dispatch established), so the sort is normally a
+  // cheap repair pass. rank_less is a total order, so the sorted
+  // permutation is unique however it is reached (core/rank_sort.hpp).
   MBTS_DCHECK(rank_order_.size() == pending_.size());
-  batch_fresh_scores(rank_order_, mix);
+  batch_fresh_scores(mix);
   scored_.clear();
-  for (std::size_t i = 0; i < rank_order_.size(); ++i) {
-    TaskState* ts = rank_order_[i];
-    MBTS_DCHECK(ts->queue_rpt == scoring_remaining(*ts));
-    scored_.push_back({ts, batch_scores_[i], ts->queue_rpt, false});
+  for (const std::uint32_t slot : rank_order_) {
+    MBTS_DCHECK(pending_[slot]->queue_rpt ==
+                scoring_remaining(*pending_[slot]));
+    scored_.push_back({pending_[slot], batch_scores_[slot], slot, false});
   }
-  adaptive_rank_sort();
-  // The warm start is a cost optimization only — the admission projection
-  // (and the rank_order_ cache fed back below) require a fully sorted
-  // ranking whichever path the adaptive sort took.
+  adaptive_sort(scored_, rank_less);
+  // The warm start is a cost optimization only — the admission projection,
+  // dispatch selection and the rank_order_ cache fed back below require a
+  // fully sorted ranking whichever path the adaptive sort took.
   MBTS_DCHECK(std::is_sorted(scored_.begin(), scored_.end(), rank_less));
   for (std::size_t i = 0; i < scored_.size(); ++i)
-    rank_order_[i] = scored_[i].ts;
+    rank_order_[i] = scored_[i].slot;
+}
+
+AdmissionContext SiteScheduler::build_admission_context(
+    const MixView& mix, const Task& candidate) {
+  // The scores and per-task decay rates ride along in the context so the
+  // projection never rescans the queue.
+  rank_pending(mix);
 
   std::size_t fill = scored_.size();
   if (!admission_reads_suffix_) {
@@ -419,7 +426,7 @@ AdmissionContext SiteScheduler::build_admission_context(
   for (std::size_t i = 0; i < fill; ++i) {
     const Scored& s = scored_[i];
     pending_sorted_.push_back(&s.ts->task);
-    pending_rpt_.push_back(s.rpt);
+    pending_rpt_.push_back(s.ts->queue_rpt);
     pending_scores_.push_back(s.score);
   }
   // Only the Eq. 8 cost sum reads per-task decay, and it runs over the
@@ -455,16 +462,45 @@ AdmissionContext SiteScheduler::build_admission_context(
   return ctx;
 }
 
+AdmissionDecision SiteScheduler::evaluate_quote(const Task& task) {
+  const MixView& mix = mix_refresh_with_candidate(task);
+  const AdmissionContext ctx = build_admission_context(mix, task);
+  MBTS_PROF_SCOPE("admission/evaluate");
+  return admission_->evaluate(task, ctx);
+}
+
 AdmissionDecision SiteScheduler::quote(const Task& task) {
+  return quote_or_reuse(task, /*reuse=*/false);
+}
+
+AdmissionDecision SiteScheduler::quote_or_reuse(const Task& task,
+                                                bool reuse) {
   MBTS_PROF_SCOPE("scheduler/quote");
   const std::string problem = validate_task(task);
   MBTS_CHECK_MSG(problem.empty(), "invalid task: " + problem);
   // A down site quotes nothing: the bid is declined without touching the
   // (frozen) candidate schedule.
   if (down_) return AdmissionDecision{};
-  const MixView& mix = mix_refresh_with_candidate(task);
-  const AdmissionContext ctx = build_admission_context(mix, task);
-  const AdmissionDecision decision = admission_->evaluate(task, ctx);
+  // A quote is a pure function of the task, the clock and the site state,
+  // and every state change bumps state_epoch_; so a memo that matches all
+  // three is the evaluation itself (re-derived and compared in debug
+  // builds). The whole bid is compared, not just its id, so a caller that
+  // reuses an id for a different bid is priced afresh.
+  const SimTime now = engine_.now();
+  AdmissionDecision decision;
+  if (reuse && quote_memo_.epoch == state_epoch_ && quote_memo_.now == now &&
+      quote_memo_.task == task) {
+    decision = quote_memo_.decision;
+    MBTS_DCHECK(decision == evaluate_quote(task));
+  } else {
+    decision = evaluate_quote(task);
+    // Field-wise, so the stored task's value-function segments reuse their
+    // capacity instead of allocating per quote.
+    quote_memo_.task = task;
+    quote_memo_.now = now;
+    quote_memo_.epoch = state_epoch_;
+    quote_memo_.decision = decision;
+  }
   if (m_quotes_ != nullptr) m_quotes_->add();
   if (trace_ != nullptr)
     trace_->record(engine_.now(),
@@ -498,7 +534,9 @@ AdmissionDecision SiteScheduler::submit(const Task& task) {
                  "duplicate task id submitted: " + task.to_string());
   MBTS_CHECK_MSG(task.width <= pool_.capacity(),
                  "task width exceeds site capacity: " + task.to_string());
-  const AdmissionDecision decision = quote(task);
+  // A broker award follows its poll at the same instant and state, so the
+  // poll's evaluation is reused unless the site changed since.
+  const AdmissionDecision decision = quote_or_reuse(task, /*reuse=*/true);
 
   if (!saw_arrival_ || task.arrival < first_arrival_)
     first_arrival_ = task.arrival;
@@ -674,6 +712,7 @@ void SiteScheduler::fail_task(TaskState& ts) {
 std::vector<Task> SiteScheduler::crash(CrashMode mode) {
   MBTS_CHECK_MSG(!down_, "crash on a site that is already down");
   down_ = true;
+  bump_epoch();
   ++crashes_;
   if (trace_ != nullptr)
     trace_->record(engine_.now(), TraceEventKind::kSiteCrash, site_id_,
@@ -681,8 +720,9 @@ std::vector<Task> SiteScheduler::crash(CrashMode mode) {
                    static_cast<double>(mode == CrashMode::kKill ? 0 : 1));
   std::vector<Task> killed;
   // Drain running tasks in ascending task-id order. The running_ vector's
-  // layout depends on nth_element's unspecified permutation, so a layout
-  //-order drain would make the kill/requeue order (and thus the killed
+  // layout depends on start order and swap-with-back erases (and, under
+  // kAtEnqueue, on nth_element's unspecified permutation), so a layout-order
+  // drain would make the kill/requeue order (and thus the killed
   // list, re-bid order, and checkpoint re-entry order) compiler-dependent;
   // sorting by id pins it. Copy the pointers first: both exits erase from
   // running_ by swap-with-back.
@@ -706,6 +746,7 @@ std::vector<Task> SiteScheduler::crash(CrashMode mode) {
 void SiteScheduler::recover() {
   MBTS_CHECK_MSG(down_, "recover on a site that is up");
   down_ = false;
+  bump_epoch();
   if (trace_ != nullptr)
     trace_->record(engine_.now(), TraceEventKind::kSiteRecover, site_id_,
                    kInvalidTask, static_cast<double>(pending_.size()));
@@ -795,20 +836,53 @@ void SiteScheduler::dispatch() {
   if (pending_.empty()) return;
 
   const MixView& mix = mix_refresh();
+  if (config_.rescore == RescorePolicy::kFresh)
+    dispatch_ranked(mix);
+  else
+    dispatch_at_enqueue(mix);
+}
 
-  scored_.clear();
-  if (config_.rescore == RescorePolicy::kFresh) {
-    batch_fresh_scores(pending_, mix);
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      MBTS_DCHECK(pending_[i]->queue_rpt == scoring_remaining(*pending_[i]));
-      scored_.push_back(
-          {pending_[i], batch_scores_[i], pending_[i]->queue_rpt, false});
+void SiteScheduler::dispatch_ranked(const MixView& mix) {
+  // The pending ranking is the one quotes maintain: warm-started from the
+  // last quote's or dispatch's order, it is usually a repair pass away
+  // from sorted, and writing it back keeps it warm for the next one.
+  rank_pending(mix);
+  running_scored_.clear();
+  if (config_.preemption) {
+    for (TaskState* ts : running_) {
+      // A task at (or within epsilon of) true completion is immovable.
+      const double rpt = scoring_remaining(*ts);
+      const double score =
+          remaining(*ts) <= kDoneEpsilon ? kInf : fresh_score(*ts, rpt, mix);
+      running_scored_.push_back({ts, score, 0, true});
     }
-  } else {
-    for (TaskState* ts : pending_)
-      scored_.push_back(
-          {ts, score_of(*ts, ts->queue_rpt, mix), ts->queue_rpt, false});
+    std::sort(running_scored_.begin(), running_scored_.end(), rank_less);
   }
+  start_selected(scored_, running_scored_,
+                 config_.preemption ? pool_.capacity() : pool_.free_count());
+}
+
+void SiteScheduler::start_selected(std::span<const Scored> pending,
+                                   std::span<const Scored> running,
+                                   std::size_t capacity) {
+  to_start_.clear();
+  to_preempt_.clear();
+  select_from_rankings<Scored>(
+      pending, running, capacity,
+      [](const Scored& s) { return s.ts->task.width; },
+      [this](const Scored& s) { to_start_.push_back(s.ts); },
+      [this](const Scored& s) { to_preempt_.push_back(s.ts); });
+  // Preempt displaced running tasks first to free their processors.
+  for (TaskState* ts : to_preempt_) preempt_task(*ts);
+  for (TaskState* ts : to_start_) start_task(*ts);
+}
+
+void SiteScheduler::dispatch_at_enqueue(const MixView& mix) {
+  scored_.clear();
+  for (TaskState* ts : pending_)
+    scored_.push_back(
+        {ts, score_of(*ts, ts->queue_rpt, mix), ts->queue_pos, false});
+  const std::size_t pending = scored_.size();
 
   if (config_.preemption) {
     for (TaskState* ts : running_) {
@@ -816,14 +890,14 @@ void SiteScheduler::dispatch() {
       const double rpt = scoring_remaining(*ts);
       const double score =
           remaining(*ts) <= kDoneEpsilon ? kInf : score_of(*ts, rpt, mix);
-      scored_.push_back({ts, score, rpt, true});
+      scored_.push_back({ts, score, 0, true});
     }
-    const auto by_rank = [](const Scored& a, const Scored& b) {
-      if (a.score != b.score) return a.score > b.score;
-      if (a.running != b.running) return a.running;
-      return a.ts->task.id < b.ts->task.id;
-    };
     if (!any_wide_) {
+      const auto by_rank = [](const Scored& a, const Scored& b) {
+        if (a.score != b.score) return a.score > b.score;
+        if (a.running != b.running) return a.running;
+        return a.ts->task.id < b.ts->task.id;
+      };
       // Width-1 fast path: only *membership* in the top-`capacity` set
       // matters (ties keep running tasks in place so dispatches never
       // flap), so an O(n) partition replaces a full sort; the comparator
@@ -839,48 +913,27 @@ void SiteScheduler::dispatch() {
       for (std::size_t i = 0; i < keep; ++i)
         if (!scored_[i].running) start_task(*scored_[i].ts);
     } else {
-      // Gang scheduling with aggressive backfill: walk the ranked list and
-      // admit each task into the target running set while its width fits
-      // the remaining capacity; narrower lower-ranked tasks may slot in
-      // around a wide task that does not fit (no reservation).
-      std::sort(scored_.begin(), scored_.end(), by_rank);
-      std::size_t free = pool_.capacity();
-      to_start_.clear();
-      to_preempt_.clear();
-      for (const Scored& entry : scored_) {
-        if (entry.ts->task.width <= free) {
-          free -= entry.ts->task.width;
-          if (!entry.running) to_start_.push_back(entry.ts);
-        } else if (entry.running) {
-          to_preempt_.push_back(entry.ts);
-        }
-      }
-      for (TaskState* ts : to_preempt_) preempt_task(*ts);
-      for (TaskState* ts : to_start_) start_task(*ts);
+      // Gang scheduling with aggressive backfill: rank the pending and the
+      // running entries apart, then walk their merge.
+      const auto mid = scored_.begin() + static_cast<std::ptrdiff_t>(pending);
+      std::sort(scored_.begin(), mid, rank_less);
+      std::sort(mid, scored_.end(), rank_less);
+      const std::span<const Scored> all(scored_);
+      start_selected(all.first(pending), all.subspan(pending),
+                     pool_.capacity());
     }
   } else {
     // Non-preemptive: fill free processors with the best pending tasks.
-    const auto by_rank = [](const Scored& a, const Scored& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.ts->task.id < b.ts->task.id;
-    };
     if (!any_wide_) {
       const std::size_t starts = std::min(pool_.free_count(), scored_.size());
       if (starts < scored_.size())
         std::nth_element(scored_.begin(),
                          scored_.begin() + static_cast<std::ptrdiff_t>(starts),
-                         scored_.end(), by_rank);
+                         scored_.end(), rank_less);
       for (std::size_t i = 0; i < starts; ++i) start_task(*scored_[i].ts);
     } else {
-      std::sort(scored_.begin(), scored_.end(), by_rank);
-      std::size_t free = pool_.free_count();
-      for (const Scored& entry : scored_) {
-        if (entry.ts->task.width <= free) {
-          free -= entry.ts->task.width;
-          start_task(*entry.ts);
-        }
-        // Narrower tasks behind a too-wide one may still backfill.
-      }
+      std::sort(scored_.begin(), scored_.end(), rank_less);
+      start_selected(scored_, {}, pool_.free_count());
     }
   }
 }

@@ -162,7 +162,11 @@ class SiteScheduler {
   void preload(std::span<const Task> tasks);
 
   /// Evaluates a bid without committing it — the market layer's probe.
-  /// Always declines while the site is down.
+  /// Always declines while the site is down. The evaluation is memoised
+  /// under (task, clock, state epoch) so that submit() — when the
+  /// broker awards the bid it just polled — reuses it instead of ranking
+  /// the backlog again. Any queue or outage change bumps the epoch, so a
+  /// stale memo is re-evaluated.
   AdmissionDecision quote(const Task& task);
 
   // --- Crash semantics (fault injection) ---
@@ -236,13 +240,23 @@ class SiteScheduler {
     std::uint32_t queue_pos = 0;
   };
 
-  /// One scored entry in the dispatch ranking; rpt caches
-  /// scoring_remaining() so ranking never recomputes it.
+  /// One scored entry in the dispatch ranking. `slot` is a pending
+  /// entry's index in pending_ (unused for running entries): ranking reads
+  /// scores and writes rank_order_ by slot, never touching the TaskState.
   struct Scored {
     TaskState* ts;
     double score;
-    double rpt;
+    std::uint32_t slot;
     bool running;
+  };
+
+  /// The last quote evaluated and the site state it was evaluated in.
+  /// epoch 0 never matches (state_epoch_ starts at 1).
+  struct QuoteMemo {
+    Task task;
+    SimTime now = 0.0;
+    std::uint64_t epoch = 0;
+    AdmissionDecision decision;
   };
 
   // Typed-event handlers. payload.target is the scheduler; for completions
@@ -260,6 +274,15 @@ class SiteScheduler {
   /// visible to the policy.
   void request_dispatch();
   void dispatch();
+  /// kFresh selection: ranks pending (rank_pending) and running, then
+  /// starts/preempts per select_from_rankings, in rank order.
+  void dispatch_ranked(const MixView& mix);
+  /// kAtEnqueue selection over enqueue-time scores.
+  void dispatch_at_enqueue(const MixView& mix);
+  /// Preempts and starts what select_from_rankings picks from the two
+  /// rankings (each sorted by rank_less), preemptions first.
+  void start_selected(std::span<const Scored> pending,
+                      std::span<const Scored> running, std::size_t capacity);
   void start_task(TaskState& ts);
   void preempt_task(TaskState& ts);
   /// preempt_task's crash twin: suspends a running task without counting a
@@ -283,18 +306,17 @@ class SiteScheduler {
   /// Fresh policy score, routed through the per-task ScoreCache when the
   /// policy supports it (bit-identical; cross-checked in debug builds).
   double fresh_score(TaskState& ts, double rpt, const MixView& mix) const;
-  /// Fresh scores for a set of *pending* tasks (rpt = queue_rpt) into
-  /// batch_scores_, via the policy's batch entry points: one virtual call
-  /// per scan. Element-wise bit-identical to fresh_score.
-  void batch_fresh_scores(std::span<TaskState* const> tasks,
-                          const MixView& mix);
+  /// Fresh scores for every pending task (rpt = queue_rpt) into
+  /// batch_scores_ in slot (pending_) order, via the policy's batch entry
+  /// points: one virtual call per scan. Element-wise bit-identical to
+  /// fresh_score.
+  void batch_fresh_scores(const MixView& mix);
   /// Kernel-path twin of batch_fresh_scores: refreshes the ScoreColumns
-  /// cache columns for `mix.now`, runs the policy's columnwise priority
-  /// kernel into kernel_scores_ (slot order == pending_ order), and
-  /// gathers into batch_scores_ via queue_pos. Bit-identical to the AoS
-  /// path under ScoreKernelMode::kExact; cross-checked in debug builds.
-  void kernel_fresh_scores(std::span<TaskState* const> tasks,
-                           const MixView& mix);
+  /// cache columns for `mix.now` and runs the policy's columnwise priority
+  /// kernel into batch_scores_ (slot order == pending_ order).
+  /// Bit-identical to the AoS path under ScoreKernelMode::kExact;
+  /// cross-checked in debug builds.
+  void kernel_fresh_scores(const MixView& mix);
   /// Rebuilds stale cache columns (stamp_now != mix.now): one vector
   /// kernel_make_cache pass when everything is stale (the dispatch-at-a-
   /// new-instant common case, with a scalar fixup for piecewise slots),
@@ -308,12 +330,6 @@ class SiteScheduler {
   }
   /// (score desc, id asc) — the total order admission ranks pending by.
   static bool rank_less(const Scored& a, const Scored& b);
-  /// Sorts scored_ by rank_less. scored_ arrives in last quote's order, so
-  /// it is usually already sorted or one insertion away; an insertion pass
-  /// (with an inversion/move budget falling back to std::sort) replaces the
-  /// full sort. Correctness never rests on that: rank_less is a total
-  /// order, so the sorted permutation is unique however it is reached.
-  void adaptive_rank_sort();
 
   /// Advances the mix tracker to now and returns the refreshed snapshot
   /// (honoring mix_full_rebuild; cross-checked against a from-scratch
@@ -331,6 +347,21 @@ class SiteScheduler {
   void erase_running(TaskState& ts);
   /// Common tail of submit()/preload() for an accepted task.
   void enqueue_accepted(const Task& task, TaskRecord& record);
+
+  /// Scores every pending task against `mix` and ranks them by rank_less
+  /// into scored_, warm-started from rank_order_; writes the new order
+  /// back to rank_order_. Shared by quotes and kFresh dispatch, so one
+  /// site event ranks the backlog once.
+  void rank_pending(const MixView& mix);
+  /// quote(), optionally answered from a matching memo (submit's path).
+  /// Either way it counts and traces the quote.
+  AdmissionDecision quote_or_reuse(const Task& task, bool reuse);
+  /// The admission evaluation behind quote(): refresh the candidate mix,
+  /// rank, project.
+  AdmissionDecision evaluate_quote(const Task& task);
+  /// Invalidates the quote memo: the queues, the mix or the outage state
+  /// changed.
+  void bump_epoch() { ++state_epoch_; }
 
   /// Sorted pending view + processor free times for admission projection;
   /// fills the per-site scratch buffers. When the admission policy never
@@ -352,10 +383,12 @@ class SiteScheduler {
   std::unordered_map<TaskId, TaskState*> by_id_;
   std::vector<TaskState*> pending_;
   std::vector<TaskState*> running_;
-  /// The pending set in the priority order established by the last
-  /// admission ranking — the warm start that makes the per-quote sort an
-  /// O(n) repair instead of O(n log n) from scratch.
-  std::vector<TaskState*> rank_order_;
+  /// The pending slots in the priority order established by the last
+  /// ranking — the warm start that makes the per-quote and per-dispatch
+  /// sort an O(n) repair instead of O(n log n) from scratch. Slots, not
+  /// TaskState pointers, so a ranking pass gathers from slot-indexed
+  /// arrays instead of chasing every task in rank order.
+  std::vector<std::uint32_t> rank_order_;
   std::deque<TaskRecord> records_;
   /// Arena for inject()ed trace tasks: arrival events carry an index into
   /// this deque instead of a task copy in a heap-allocated closure.
@@ -364,6 +397,8 @@ class SiteScheduler {
   // Scratch buffers reused across dispatches and quotes so the hot path
   // allocates nothing in steady state.
   std::vector<Scored> scored_;
+  /// The running set scored and ranked for kFresh dispatch.
+  std::vector<Scored> running_scored_;
   std::vector<const Task*> pending_sorted_;
   std::vector<double> pending_rpt_;
   std::vector<double> pending_scores_;
@@ -383,10 +418,9 @@ class SiteScheduler {
   std::vector<const Task*> miss_tasks_;
   std::vector<double> miss_rpts_;
   std::vector<ScoreCache> miss_caches_;
-  /// SoA mirror of pending_ (slot i == pending_[i]; see score_columns.hpp)
-  /// and the per-slot kernel output, maintained only when kernel_enabled_.
+  /// SoA mirror of pending_ (slot i == pending_[i]; see score_columns.hpp),
+  /// maintained only when kernel_enabled_.
   ScoreColumns columns_;
-  std::vector<double> kernel_scores_;
 
   // Telemetry (see set_telemetry). Metric instruments are resolved once at
   // attach time so hot-path hooks bump cached pointers, never do name
@@ -408,6 +442,9 @@ class SiteScheduler {
   Histogram* m_slack_ = nullptr;
   Histogram* m_delay_ = nullptr;
   Histogram* m_ryield_ = nullptr;
+
+  QuoteMemo quote_memo_;
+  std::uint64_t state_epoch_ = 1;
 
   bool dispatch_pending_ = false;
   /// policy_->cacheable(), latched at construction.

@@ -32,6 +32,8 @@ struct Task {
   SimTime declared_runtime = 0.0;
   ValueFunction value = ValueFunction::bounded_at_zero(0.0, 0.0);
 
+  friend bool operator==(const Task&, const Task&) = default;
+
   /// The runtime visible to scheduling heuristics and admission control.
   SimTime estimate() const {
     return declared_runtime > 0.0 ? declared_runtime : runtime;

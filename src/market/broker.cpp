@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -23,28 +24,27 @@ std::string to_string(ClientStrategy strategy) {
 std::optional<std::size_t> select_quote(const std::vector<Quote>& quotes,
                                         ClientStrategy strategy,
                                         Xoshiro256& rng) {
-  std::vector<std::size_t> accepted;
-  for (std::size_t i = 0; i < quotes.size(); ++i)
-    if (quotes[i].accepted) accepted.push_back(i);
-  if (accepted.empty()) return std::nullopt;
-
-  switch (strategy) {
-    case ClientStrategy::kMaxExpectedValue:
-      return *std::max_element(accepted.begin(), accepted.end(),
-                               [&](std::size_t a, std::size_t b) {
-                                 return quotes[a].expected_price <
-                                        quotes[b].expected_price;
-                               });
-    case ClientStrategy::kEarliestCompletion:
-      return *std::min_element(accepted.begin(), accepted.end(),
-                               [&](std::size_t a, std::size_t b) {
-                                 return quotes[a].expected_completion <
-                                        quotes[b].expected_completion;
-                               });
-    case ClientStrategy::kRandom:
-      return accepted[rng.below(accepted.size())];
+  // One pass, no index list: the first best quote wins ties (the
+  // std::max_element/min_element rule), and kRandom draws over the
+  // accepted quotes in site order.
+  std::size_t accepted = 0;
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < quotes.size(); ++i) {
+    if (!quotes[i].accepted) continue;
+    const bool better =
+        accepted == 0 ||
+        (strategy == ClientStrategy::kMaxExpectedValue &&
+         quotes[best].expected_price < quotes[i].expected_price) ||
+        (strategy == ClientStrategy::kEarliestCompletion &&
+         quotes[i].expected_completion < quotes[best].expected_completion);
+    if (better) best = i;
+    ++accepted;
   }
-  return std::nullopt;
+  if (accepted == 0) return std::nullopt;
+  if (strategy != ClientStrategy::kRandom) return best;
+  std::size_t draw = rng.below(accepted);
+  for (std::size_t i = 0;; ++i)
+    if (quotes[i].accepted && draw-- == 0) return i;
 }
 
 std::string to_string(PricingModel model) {
@@ -145,7 +145,7 @@ void Broker::attempt(const Bid& bid, std::size_t round, bool is_rebid) {
   }
 
   if (is_rebid && result.awarded_site) ++re_awards_;
-  history_.push_back(result);
+  history_.push_back(std::move(result));
 }
 
 NegotiationResult Broker::negotiate_round(const Bid& bid) {
@@ -154,6 +154,7 @@ NegotiationResult Broker::negotiate_round(const Bid& bid) {
   // concurrent round would corrupt. The serve layer honors this by feeding
   // live bids through the engine thread one event at a time; this guard
   // turns a future violation into a loud failure instead of silent drift.
+  MBTS_PROF_SCOPE("broker/negotiate");
   MBTS_CHECK_MSG(!negotiating_, "re-entrant Broker negotiation");
   negotiating_ = true;
   struct Reset {
@@ -200,16 +201,15 @@ NegotiationResult Broker::negotiate_round(const Bid& bid) {
   }
 
   // Award best first; on a (rare) state-change refusal, fall back to the
-  // next-best accepting quote.
-  std::vector<Quote> remaining = result.quotes;
+  // next-best accepting quote. quotes[i] answers for sites_[i].
+  std::vector<Quote>& remaining = remaining_scratch_;
+  remaining.assign(result.quotes.begin(), result.quotes.end());
   while (true) {
     const auto pick = select_quote(remaining, strategy_, rng_);
     if (!pick) break;
     const Quote& quote = remaining[*pick];
-    SiteAgent* site = nullptr;
-    for (SiteAgent* s : sites_)
-      if (s->id() == quote.site) site = s;
-    MBTS_CHECK(site != nullptr);
+    SiteAgent* site = sites_[*pick];
+    MBTS_DCHECK(site->id() == quote.site);
     std::optional<double> price;
     if (pricing_ == PricingModel::kSecondPrice) {
       // Runner-up accepted price among the *other* sites still in play.

@@ -189,6 +189,8 @@ class Broker {
   QuotePoller poller_;
   Xoshiro256 rng_;
   std::vector<std::size_t> poll_scratch_;
+  /// The round's quotes still in play during award fall-through.
+  std::vector<Quote> remaining_scratch_;
   /// True while a negotiation round is running; guards the round's member
   /// scratch against re-entrant or concurrent submission (see
   /// negotiate_round).

@@ -64,7 +64,10 @@ class SiteAgent {
 
   /// Phase 2: the client chose this site — commit the task and form the
   /// contract. Returns false if the site's state changed such that the bid
-  /// no longer clears admission (the contract is then not formed).
+  /// no longer clears admission (the contract is then not formed). When
+  /// nothing changed since the quote — always, inside one broker round —
+  /// the scheduler reuses the quote's evaluation instead of ranking the
+  /// backlog again (SiteScheduler::quote).
   /// `agreed_price` overrides the contract price (e.g. a broker applying
   /// second-price rules); by default the quote's own expected price binds.
   bool award(const Bid& bid, const Quote& quoted,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profile.hpp"
+#include "serve/preset.hpp"
 #include "util/check.hpp"
+#include "workload/generator.hpp"
 #include "workload/presets.hpp"
 
 namespace mbts {
@@ -157,6 +160,60 @@ TEST(Market, RevenueNeverExceedsAgreedOnDelays) {
 
 TEST(Market, NeedsAtLeastOneSite) {
   EXPECT_THROW(Market(MarketConfig{}), CheckError);
+}
+
+// Debug builds re-derive every memoised quote an award reuses, to
+// cross-check it: one extra evaluation per award.
+#ifdef NDEBUG
+constexpr std::size_t kAwardCheck = 0;
+#else
+constexpr std::size_t kAwardCheck = 1;
+#endif
+
+std::uint64_t profiled_calls(const char* name) {
+  for (const Profiler::Section& section : Profiler::instance().sections())
+    if (section.name == name) return section.calls;
+  return 0;
+}
+
+void expect_one_evaluation_per_polled_site(std::size_t shards,
+                                           bool epoch_batching) {
+  // The broker polls all three sites and awards one; the award reuses the
+  // winner's quote, so admission runs exactly once per polled site. The
+  // sharded poller quotes on the member engines and awards after the
+  // barrier, which must leave the winner's state untouched in between.
+  SCOPED_TRACE(::testing::Message() << "shards=" << shards
+                                    << " epoch_batching=" << epoch_batching);
+  MarketConfig config = serve::fig1_market(11);
+  config.shards = shards;
+  config.epoch_batching = epoch_batching;
+  Market market(config);
+  Xoshiro256 rng(11);
+  const Trace trace = generate_trace(presets::admission_mix(4.0, 600), rng);
+  market.inject(trace);
+  Profiler::instance().reset();
+  Profiler::set_enabled(true);
+  market.run();
+  Profiler::set_enabled(false);
+  std::size_t polled = 0;
+  std::size_t awarded = 0;
+  for (const NegotiationResult& result : market.broker().history()) {
+    for (const Quote& quote : result.quotes)
+      if (!quote.unavailable) ++polled;
+    if (result.awarded_site) ++awarded;
+  }
+  EXPECT_EQ(polled, 3 * trace.size());
+  EXPECT_GT(awarded, trace.size() / 2);
+  EXPECT_EQ(profiled_calls("broker/negotiate"), trace.size());
+  EXPECT_EQ(profiled_calls("admission/evaluate"),
+            polled + kAwardCheck * awarded);
+  Profiler::instance().reset();
+}
+
+TEST(Market, Fig1TrioEvaluatesEachPolledQuoteOnce) {
+  expect_one_evaluation_per_polled_site(1, true);
+  expect_one_evaluation_per_polled_site(3, true);
+  expect_one_evaluation_per_polled_site(3, false);
 }
 
 }  // namespace

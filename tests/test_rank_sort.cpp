@@ -72,6 +72,21 @@ TEST(AdaptiveSort, FewDisplacedElements) {
   }
 }
 
+TEST(AdaptiveSort, DriftOnALargeBacklog) {
+  // A dispatch at a new instant on a deep queue: hundreds of neighbours
+  // trade places, far more than 16 adjacent inversions but few relative to
+  // n, which the insertion pass takes.
+  Xoshiro256 rng(9);
+  std::vector<Ranked> v;
+  for (std::uint64_t i = 0; i < 10000; ++i)
+    v.push_back({10000.0 - static_cast<double>(i), i});
+  for (int k = 0; k < 400; ++k) {
+    const std::size_t i = rng.below(v.size());
+    v[i].score += rng.uniform(-2.5, 2.5);
+  }
+  expect_matches_std_sort(v, "drift n=10000");
+}
+
 TEST(AdaptiveSort, RandomShuffles) {
   Xoshiro256 rng(6);
   for (int rep = 0; rep < 50; ++rep) {

@@ -21,10 +21,11 @@ Task make_task(TaskId id, double arrival, double runtime, double value,
 
 std::vector<double> completions(const Trace& trace, RescorePolicy rescore,
                                 const PolicySpec& policy,
-                                bool preemption = true) {
+                                bool preemption = true,
+                                std::size_t processors = 2) {
   SimEngine engine;
   SchedulerConfig config;
-  config.processors = 2;
+  config.processors = processors;
   config.preemption = preemption;
   config.rescore = rescore;
   config.discount_rate = 0.01;
@@ -57,6 +58,20 @@ TEST(Rescore, TimeInvariantPoliciesUnaffected) {
       completions(trace, RescorePolicy::kFresh, PolicySpec::swpt(), false),
       completions(trace, RescorePolicy::kAtEnqueue, PolicySpec::swpt(),
                   false));
+
+  // The same holds for gangs, whose backfill walk each mode reaches by its
+  // own ranking.
+  spec.processors = 4;
+  spec.width = DistSpec::uniform(1.0, 4.0);
+  const Trace gang = generate_trace(spec, rng);
+  EXPECT_EQ(
+      completions(gang, RescorePolicy::kFresh, PolicySpec::fcfs(), true, 4),
+      completions(gang, RescorePolicy::kAtEnqueue, PolicySpec::fcfs(), true,
+                  4));
+  EXPECT_EQ(
+      completions(gang, RescorePolicy::kFresh, PolicySpec::swpt(), false, 4),
+      completions(gang, RescorePolicy::kAtEnqueue, PolicySpec::swpt(), false,
+                  4));
 }
 
 TEST(Rescore, StaleFirstPriceDivergesFromFresh) {

@@ -303,5 +303,158 @@ TEST(Scheduler, ZeroDiscountRateRequired) {
                CheckError);
 }
 
+// --- Quote memo: an award at the quoted instant and state reuses the quote.
+
+// Counts evaluate() calls of the wrapped admission policy.
+class CountingAdmission final : public AdmissionPolicy {
+ public:
+  CountingAdmission(std::unique_ptr<AdmissionPolicy> inner,
+                    std::size_t* evaluations)
+      : inner_(std::move(inner)), evaluations_(evaluations) {}
+  std::string name() const override { return inner_->name(); }
+  AdmissionDecision evaluate(const Task& candidate,
+                             const AdmissionContext& ctx) const override {
+    ++*evaluations_;
+    return inner_->evaluate(candidate, ctx);
+  }
+  bool reads_ranked_suffix() const override {
+    return inner_->reads_ranked_suffix();
+  }
+
+ private:
+  std::unique_ptr<AdmissionPolicy> inner_;
+  std::size_t* evaluations_;
+};
+
+// Debug builds re-derive every memo hit to cross-check it, which costs one
+// extra evaluation per hit.
+#ifdef NDEBUG
+constexpr std::size_t kHitCheck = 0;
+#else
+constexpr std::size_t kHitCheck = 1;
+#endif
+
+struct MemoHarness {
+  std::size_t evaluations = 0;
+  Harness h;
+
+  explicit MemoHarness(std::size_t processors)
+      : h(config(processors), PolicySpec::fcfs(),
+          std::make_unique<CountingAdmission>(
+              std::make_unique<AcceptAllAdmission>(), &evaluations)) {}
+};
+
+TEST(QuoteMemo, AwardAtTheQuotedInstantReusesTheQuote) {
+  MemoHarness m(1);
+  m.h.site.submit(make_task(0, 0.0, 25.0, 100.0, 0.0));
+  ASSERT_EQ(m.evaluations, 1u);
+  const Task task = make_task(1, 0.0, 10.0, 100.0, 0.0);
+  const AdmissionDecision quoted = m.h.site.quote(task);
+  ASSERT_EQ(m.evaluations, 2u);
+  EXPECT_EQ(quoted.expected_completion, 35.0);
+  const AdmissionDecision awarded = m.h.site.submit(task);
+  EXPECT_EQ(m.evaluations, 2u + kHitCheck);
+  EXPECT_EQ(awarded, quoted);
+  EXPECT_EQ(m.h.record(1).quoted_completion, 35.0);
+}
+
+TEST(QuoteMemo, QuotesThemselvesAlwaysEvaluate) {
+  // Only an award reuses the memo; a probe quote is always priced afresh.
+  MemoHarness m(1);
+  const Task task = make_task(0, 0.0, 10.0, 100.0, 0.0);
+  m.h.site.quote(task);
+  m.h.site.quote(task);
+  EXPECT_EQ(m.evaluations, 2u);
+}
+
+TEST(QuoteMemo, ClockAdvanceReevaluates) {
+  MemoHarness m(2);
+  m.h.site.submit(make_task(0, 0.0, 100.0, 100.0, 0.0));
+  m.h.engine.run_until(10.0);
+  const Task task = make_task(1, 10.0, 10.0, 100.0, 0.0);
+  EXPECT_EQ(m.h.site.quote(task).expected_completion, 20.0);
+  const std::size_t before = m.evaluations;
+  m.h.engine.run_until(20.0);  // no event: only the clock moves
+  EXPECT_EQ(m.h.site.submit(task).expected_completion, 30.0);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
+TEST(QuoteMemo, AnotherAwardAtTheSameInstantReevaluates) {
+  MemoHarness m(1);
+  const Task task = make_task(1, 0.0, 10.0, 100.0, 0.0);
+  EXPECT_EQ(m.h.site.quote(task).expected_completion, 10.0);
+  m.h.site.submit(make_task(0, 0.0, 25.0, 100.0, 0.0));
+  const std::size_t before = m.evaluations;
+  // FCFS ranks task 0 first (same arrival, lower id).
+  EXPECT_EQ(m.h.site.submit(task).expected_completion, 35.0);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
+TEST(QuoteMemo, EnqueueWithoutAQuoteReevaluates) {
+  // preload() enqueues without quoting, so the memo still names the task;
+  // only the state epoch tells it is stale.
+  MemoHarness m(1);
+  const Task task = make_task(1, 0.0, 10.0, 100.0, 0.0);
+  EXPECT_EQ(m.h.site.quote(task).expected_completion, 10.0);
+  m.h.site.preload(std::vector<Task>{make_task(0, 0.0, 25.0, 100.0, 0.0)});
+  const std::size_t before = m.evaluations;
+  EXPECT_EQ(m.h.site.submit(task).expected_completion, 35.0);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
+TEST(QuoteMemo, CrashAndRecoverReevaluate) {
+  MemoHarness m(1);
+  m.h.site.submit(make_task(0, 0.0, 50.0, 100.0, 0.0));
+  m.h.engine.run_until(10.0);
+  const Task task = make_task(1, 10.0, 10.0, 100.0, 0.0);
+  EXPECT_EQ(m.h.site.quote(task).expected_completion, 60.0);
+  // The crash kills the running task; after recovery the processor is free
+  // at the same instant.
+  ASSERT_EQ(m.h.site.crash(CrashMode::kKill).size(), 1u);
+  m.h.site.recover();
+  const std::size_t before = m.evaluations;
+  EXPECT_EQ(m.h.site.submit(task).expected_completion, 20.0);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
+TEST(QuoteMemo, EmptyCrashAndRecoverStillReevaluate) {
+  // Nothing runs, so the crash changes no queue: the outage itself must
+  // invalidate the memo.
+  MemoHarness m(1);
+  const Task task = make_task(0, 0.0, 10.0, 100.0, 0.0);
+  m.h.site.quote(task);
+  m.h.site.crash(CrashMode::kKill);
+  m.h.site.recover();
+  const std::size_t before = m.evaluations;
+  EXPECT_TRUE(m.h.site.submit(task).accept);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
+TEST(QuoteMemo, QuoteForOneTaskIsNeverReusedForAnother) {
+  MemoHarness m(1);
+  EXPECT_EQ(m.h.site.quote(make_task(1, 0.0, 10.0, 100.0, 0.0))
+                .expected_completion,
+            10.0);
+  const std::size_t before = m.evaluations;
+  EXPECT_EQ(m.h.site.submit(make_task(2, 0.0, 30.0, 100.0, 0.0))
+                .expected_completion,
+            30.0);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
+TEST(QuoteMemo, SameIdWithADifferentBidReevaluates) {
+  // The memo keys the whole bid: a caller reusing an id for a longer task
+  // gets that task's terms, not the quoted one's.
+  MemoHarness m(1);
+  EXPECT_EQ(m.h.site.quote(make_task(1, 0.0, 10.0, 100.0, 0.0))
+                .expected_completion,
+            10.0);
+  const std::size_t before = m.evaluations;
+  EXPECT_EQ(m.h.site.submit(make_task(1, 0.0, 30.0, 100.0, 0.0))
+                .expected_completion,
+            30.0);
+  EXPECT_EQ(m.evaluations, before + 1);
+}
+
 }  // namespace
 }  // namespace mbts

@@ -5,9 +5,15 @@
 // time, and mean) shows where the burst spends its time before and after
 // the SoA kernels take the rescore — `scheduler/rescore` (the scalar
 // per-task path) versus `scheduler/kernel_rescore` (the batched SoA path).
-// EXPERIMENTS.md "Rescore profile" records a committed run of this tool.
+// A third table profiles a whole market run: the Fig. 1 trio at about 1.5x
+// its capacity (perfbench batch_overload's shape: admission_mix at load 4,
+// 12000 bids), split into
+// ranking (`scheduler/rank`), projection (`admission/evaluate`) and broker
+// time (`broker/negotiate`). EXPERIMENTS.md "Rescore profile" records a
+// committed run of this tool.
 //
-// Usage: prof_rescore [--tasks N] (default 100000)
+// Usage: prof_rescore [--tasks N] (burst size, default 100000; the market
+// run is fixed)
 #include <cstddef>
 #include <iostream>
 #include <memory>
@@ -16,10 +22,13 @@
 
 #include "core/admission.hpp"
 #include "core/scheduler.hpp"
+#include "market/market.hpp"
 #include "obs/profile.hpp"
+#include "serve/preset.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
+#include "workload/presets.hpp"
 
 namespace {
 
@@ -71,6 +80,20 @@ void profile_mode(std::size_t n, ScoreKernelMode mode, const char* label) {
             << Profiler::instance().report() << "\n";
 }
 
+void profile_market() {
+  Market market(serve::fig1_market(1));
+  Xoshiro256 rng(1);
+  market.inject(generate_trace(presets::admission_mix(4.0, 12000), rng));
+  Profiler::instance().reset();
+  Profiler::set_enabled(true);
+  const MarketStats stats = market.run();
+  Profiler::set_enabled(false);
+  std::cout << "=== market: Fig. 1 trio, admission_mix(4.0, 12000) (awarded="
+            << stats.awarded << ", revenue=" << stats.total_revenue
+            << ") ===\n"
+            << Profiler::instance().report() << "\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,5 +114,6 @@ int main(int argc, char** argv) {
   profile_mode(n, ScoreKernelMode::kOff, "before: score_kernels=kOff");
   // After: the SoA batch kernels (the scheduler default).
   profile_mode(n, ScoreKernelMode::kExact, "after: score_kernels=kExact");
+  profile_market();
   return 0;
 }
