@@ -25,6 +25,28 @@ void BM_ListSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_ListSchedule)->Range(64, 1 << 14);
 
+// The quote's projection alone: completion of the last of 1000 width-1
+// items on a site of range(0) processors with random free times. Six is
+// the Fig. 1 trio's deep site (the branch-free step); 64 is
+// BM_QuoteBacklog's site (the binary-search step).
+void BM_CompletionOf(benchmark::State& state) {
+  const auto processors = static_cast<std::size_t>(state.range(0));
+  mbts::Xoshiro256 rng(5);
+  std::vector<mbts::PendingItem> ordered(1000);
+  for (std::size_t i = 0; i < ordered.size(); ++i)
+    ordered[i] = {i, rng.uniform(1.0, 10.0)};
+  std::vector<double> proc_free(processors);
+  for (double& t : proc_free) t = rng.uniform(0.0, 10.0);
+  std::vector<double> free_scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mbts::completion_of(
+        proc_free, ordered, ordered.size() - 1, free_scratch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ordered.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_CompletionOf)->Arg(6)->Arg(16)->Arg(64)->Arg(256);
+
 void run_site(benchmark::State& state, const mbts::PolicySpec& policy,
               bool admission) {
   const auto jobs = static_cast<std::size_t>(state.range(0));

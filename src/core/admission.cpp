@@ -56,10 +56,10 @@ AdmissionDecision project_candidate(const Task& candidate,
 
   AdmissionDecision decision;
   decision.queue_position = position;
-  std::vector<double> local_heap;
+  std::vector<double> local_free;
   decision.expected_completion = completion_of(
       ctx.proc_free, ordered, position,
-      ctx.heap_scratch != nullptr ? *ctx.heap_scratch : local_heap);
+      ctx.free_scratch != nullptr ? *ctx.free_scratch : local_free);
   decision.expected_yield =
       candidate.yield_at_completion(decision.expected_completion);
   return decision;

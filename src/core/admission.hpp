@@ -55,7 +55,7 @@ struct AdmissionContext {
   /// scheduler points these at per-site scratch vectors so the quote path
   /// allocates nothing in steady state.
   std::vector<PendingItem>* projection_scratch = nullptr;
-  std::vector<double>* heap_scratch = nullptr;
+  std::vector<double>* free_scratch = nullptr;
 };
 
 /// Outcome of evaluating one bid. Expected fields are filled even on

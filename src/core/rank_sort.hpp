@@ -1,12 +1,12 @@
-// Warm-start adaptive sort, extracted from SiteScheduler so the dispatch
-// path and tests share one implementation.
+// Warm-start adaptive sort: the fallback of RankedBacklog::rank
+// (core/ranked_backlog.hpp) when score drift breaks the persistent ranking
+// or too many arrivals wait to be seated.
 //
-// The scheduler re-sorts a rank order that is *almost* sorted between
-// scoring instants: scores drift slightly and a handful of arrivals land
-// out of place. Correctness never rests on the warm start — the result is
-// always fully sorted by `less` (DCHECKed at the scheduler call site and
-// cross-checked against std::sort in tests/test_rank_sort.cpp) — only the
-// cost model does.
+// The input is then *almost* sorted: scores drifted slightly and a
+// handful of arrivals sit out of place. Correctness never rests on the
+// warm start — the result is always fully sorted by `less` (DCHECKed by
+// the caller and cross-checked against std::sort in
+// tests/test_rank_sort.cpp) — only the cost model does.
 #pragma once
 
 #include <algorithm>

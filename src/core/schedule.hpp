@@ -35,7 +35,9 @@ struct ScheduleEntry {
 /// conservative projection: no backfilling around waiting wide tasks).
 /// `proc_free` holds each processor's next free time (>= now for busy
 /// processors; == now for idle ones). Returns one entry per pending item,
-/// in the input order. O((n·w_max + p) log p).
+/// in the input order. Keeps the free times as a sorted array: O(p log p)
+/// to sort them, then O(p) per item (a branch-free pass for width 1 on up
+/// to 8 processors, a binary search and a shift otherwise).
 std::vector<ScheduleEntry> list_schedule(std::span<const double> proc_free,
                                          std::span<const PendingItem> ordered);
 
@@ -46,10 +48,11 @@ std::vector<ScheduleEntry> list_schedule(std::span<const double> proc_free,
 double completion_of(std::span<const double> proc_free,
                      std::span<const PendingItem> ordered, std::size_t index);
 
-/// Allocation-free variant for hot paths: `heap_scratch` is clobbered and
-/// reused as the free-time heap. Bit-identical to completion_of above.
+/// Allocation-free variant for hot paths: `free_scratch` is clobbered and
+/// reused as the sorted free-time array. Bit-identical to completion_of
+/// above.
 double completion_of(std::span<const double> proc_free,
                      std::span<const PendingItem> ordered, std::size_t index,
-                     std::vector<double>& heap_scratch);
+                     std::vector<double>& free_scratch);
 
 }  // namespace mbts

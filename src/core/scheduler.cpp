@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/dispatch_select.hpp"
-#include "core/rank_sort.hpp"
+#include "core/ranked_backlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -333,9 +333,8 @@ void SiteScheduler::push_pending(TaskState& ts) {
   // The SoA mirror gets the same slot: queue_rpt is already latched by
   // every caller, and ts.task is stable storage (states_ is a deque).
   if (kernel_enabled_) columns_.push(ts.task, ts.queue_rpt);
-  // New arrivals join the rank cache at the back; the next ranking's
-  // repair pass walks them into place.
-  rank_order_.push_back(ts.queue_pos);
+  // New arrivals join the ranking unranked; the next ranking seats them.
+  ranked_.push(ts.queue_pos);
 }
 
 void SiteScheduler::erase_pending(TaskState& ts) {
@@ -347,16 +346,8 @@ void SiteScheduler::erase_pending(TaskState& ts) {
   pending_.pop_back();
   // Same swap-with-back on the SoA mirror keeps slot i == pending_[i].
   if (kernel_enabled_) columns_.swap_erase(pos);
-  // The rank cache names slots: drop `pos`, and rename the last slot,
-  // whose task the swap just moved into `pos`. One pass keeps the order.
-  const auto last = static_cast<std::uint32_t>(pending_.size());
-  std::size_t out = 0;
-  for (const std::uint32_t slot : rank_order_) {
-    if (slot == pos) continue;
-    rank_order_[out++] = slot == last ? pos : slot;
-  }
-  MBTS_DCHECK(out + 1 == rank_order_.size());
-  rank_order_.pop_back();
+  // The ranking names slots, and follows the same swap.
+  ranked_.erase(pos);
 }
 
 void SiteScheduler::push_running(TaskState& ts) {
@@ -376,26 +367,20 @@ void SiteScheduler::erase_running(TaskState& ts) {
 
 void SiteScheduler::rank_pending(const MixView& mix) {
   MBTS_PROF_SCOPE("scheduler/rank");
-  // Score every pending task once — one batched policy call — ranked by
-  // (score desc, id asc). The scan walks rank_order_ (the order the
-  // previous quote or dispatch established), so the sort is normally a
-  // cheap repair pass. rank_less is a total order, so the sorted
-  // permutation is unique however it is reached (core/rank_sort.hpp).
-  MBTS_DCHECK(rank_order_.size() == pending_.size());
+  // Score every pending task once — one batched policy call, in slot order
+  // — and re-rank the persistent ranking by (score desc, id asc) in place.
+  // Between two rankings the order rarely changes beyond the arrivals, so
+  // this is normally one pass plus a binary-search seat per arrival
+  // (core/ranked_backlog.hpp); the result is fully sorted either way.
+  MBTS_DCHECK(ranked_.size() == pending_.size());
+#ifndef NDEBUG
+  for (const TaskState* ts : pending_)
+    MBTS_DCHECK(ts->queue_rpt == scoring_remaining(*ts));
+#endif
   batch_fresh_scores(mix);
-  scored_.clear();
-  for (const std::uint32_t slot : rank_order_) {
-    MBTS_DCHECK(pending_[slot]->queue_rpt ==
-                scoring_remaining(*pending_[slot]));
-    scored_.push_back({pending_[slot], batch_scores_[slot], slot, false});
-  }
-  adaptive_sort(scored_, rank_less);
-  // The warm start is a cost optimization only — the admission projection,
-  // dispatch selection and the rank_order_ cache fed back below require a
-  // fully sorted ranking whichever path the adaptive sort took.
-  MBTS_DCHECK(std::is_sorted(scored_.begin(), scored_.end(), rank_less));
-  for (std::size_t i = 0; i < scored_.size(); ++i)
-    rank_order_[i] = scored_[i].slot;
+  ranked_.rank(batch_scores_, [this](std::uint32_t slot) {
+    return pending_[slot]->task.id;
+  });
 }
 
 AdmissionContext SiteScheduler::build_admission_context(
@@ -404,7 +389,8 @@ AdmissionContext SiteScheduler::build_admission_context(
   // projection never rescans the queue.
   rank_pending(mix);
 
-  std::size_t fill = scored_.size();
+  const std::span<const RankEntry> ranked = ranked_.entries();
+  std::size_t fill = ranked.size();
   if (!admission_reads_suffix_) {
     // The projection only schedules the tasks ranked ahead of the candidate
     // (ties go ahead: they arrived earlier), so when the admission policy
@@ -414,9 +400,9 @@ AdmissionContext SiteScheduler::build_admission_context(
     const double cand_priority =
         policy_->priority(candidate, candidate.estimate(), mix);
     const auto mid = std::partition_point(
-        scored_.begin(), scored_.end(),
-        [&](const Scored& s) { return s.score >= cand_priority; });
-    fill = static_cast<std::size_t>(mid - scored_.begin());
+        ranked.begin(), ranked.end(),
+        [&](const RankEntry& e) { return e.score >= cand_priority; });
+    fill = static_cast<std::size_t>(mid - ranked.begin());
   }
 
   pending_sorted_.clear();
@@ -424,16 +410,15 @@ AdmissionContext SiteScheduler::build_admission_context(
   pending_scores_.clear();
   pending_decay_.clear();
   for (std::size_t i = 0; i < fill; ++i) {
-    const Scored& s = scored_[i];
-    pending_sorted_.push_back(&s.ts->task);
-    pending_rpt_.push_back(s.ts->queue_rpt);
-    pending_scores_.push_back(s.score);
+    const TaskState& ts = *pending_[ranked[i].slot];
+    pending_sorted_.push_back(&ts.task);
+    pending_rpt_.push_back(ts.queue_rpt);
+    pending_scores_.push_back(ranked[i].score);
+    // Only the Eq. 8 cost sum reads per-task decay, and it runs over the
+    // ranked suffix — which only a policy that reads it gets (fill == n).
+    if (admission_reads_suffix_)
+      pending_decay_.push_back(mix_.decay_of(ts.mix_slot));
   }
-  // Only the Eq. 8 cost sum reads per-task decay, and it runs over the
-  // ranked suffix — skip the fill when the policy never gets there.
-  if (admission_reads_suffix_)
-    for (const Scored& s : scored_)
-      pending_decay_.push_back(mix_.decay_of(s.ts->mix_slot));
 
   const SimTime now = engine_.now();
   proc_free_.assign(pool_.capacity(), now);
@@ -458,7 +443,7 @@ AdmissionContext SiteScheduler::build_admission_context(
   ctx.pending_scores = pending_scores_;
   ctx.pending_decay = pending_decay_;
   ctx.projection_scratch = &projection_scratch_;
-  ctx.heap_scratch = &heap_scratch_;
+  ctx.free_scratch = &free_scratch_;
   return ctx;
 }
 
@@ -843,10 +828,21 @@ void SiteScheduler::dispatch() {
 }
 
 void SiteScheduler::dispatch_ranked(const MixView& mix) {
-  // The pending ranking is the one quotes maintain: warm-started from the
-  // last quote's or dispatch's order, it is usually a repair pass away
-  // from sorted, and writing it back keeps it warm for the next one.
+  // The pending ranking is the one quotes maintain, so it is usually one
+  // pass away from sorted.
   rank_pending(mix);
+  // Selection walks the pending ranking only while capacity lasts: with
+  // every width 1 it reaches at most `capacity` entries, so only that
+  // prefix is materialized. Gangs can backfill past a wide entry that does
+  // not fit, so they take the whole ranking.
+  const std::size_t capacity =
+      config_.preemption ? pool_.capacity() : pool_.free_count();
+  const std::span<const RankEntry> ranked = ranked_.entries();
+  const std::size_t reach =
+      any_wide_ ? ranked.size() : std::min(capacity, ranked.size());
+  scored_.clear();
+  for (const RankEntry& e : ranked.first(reach))
+    scored_.push_back({pending_[e.slot], e.score, false});
   running_scored_.clear();
   if (config_.preemption) {
     for (TaskState* ts : running_) {
@@ -854,12 +850,11 @@ void SiteScheduler::dispatch_ranked(const MixView& mix) {
       const double rpt = scoring_remaining(*ts);
       const double score =
           remaining(*ts) <= kDoneEpsilon ? kInf : fresh_score(*ts, rpt, mix);
-      running_scored_.push_back({ts, score, 0, true});
+      running_scored_.push_back({ts, score, true});
     }
     std::sort(running_scored_.begin(), running_scored_.end(), rank_less);
   }
-  start_selected(scored_, running_scored_,
-                 config_.preemption ? pool_.capacity() : pool_.free_count());
+  start_selected(scored_, running_scored_, capacity);
 }
 
 void SiteScheduler::start_selected(std::span<const Scored> pending,
@@ -880,8 +875,7 @@ void SiteScheduler::start_selected(std::span<const Scored> pending,
 void SiteScheduler::dispatch_at_enqueue(const MixView& mix) {
   scored_.clear();
   for (TaskState* ts : pending_)
-    scored_.push_back(
-        {ts, score_of(*ts, ts->queue_rpt, mix), ts->queue_pos, false});
+    scored_.push_back({ts, score_of(*ts, ts->queue_rpt, mix), false});
   const std::size_t pending = scored_.size();
 
   if (config_.preemption) {
@@ -890,7 +884,7 @@ void SiteScheduler::dispatch_at_enqueue(const MixView& mix) {
       const double rpt = scoring_remaining(*ts);
       const double score =
           remaining(*ts) <= kDoneEpsilon ? kInf : score_of(*ts, rpt, mix);
-      scored_.push_back({ts, score, 0, true});
+      scored_.push_back({ts, score, true});
     }
     if (!any_wide_) {
       const auto by_rank = [](const Scored& a, const Scored& b) {

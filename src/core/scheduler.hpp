@@ -19,6 +19,7 @@
 #include "core/admission.hpp"
 #include "core/mix.hpp"
 #include "core/policy.hpp"
+#include "core/ranked_backlog.hpp"
 #include "core/score_columns.hpp"
 #include "core/task.hpp"
 #include "sim/engine.hpp"
@@ -240,13 +241,10 @@ class SiteScheduler {
     std::uint32_t queue_pos = 0;
   };
 
-  /// One scored entry in the dispatch ranking. `slot` is a pending
-  /// entry's index in pending_ (unused for running entries): ranking reads
-  /// scores and writes rank_order_ by slot, never touching the TaskState.
+  /// One scored entry handed to dispatch selection.
   struct Scored {
     TaskState* ts;
     double score;
-    std::uint32_t slot;
     bool running;
   };
 
@@ -348,10 +346,9 @@ class SiteScheduler {
   /// Common tail of submit()/preload() for an accepted task.
   void enqueue_accepted(const Task& task, TaskRecord& record);
 
-  /// Scores every pending task against `mix` and ranks them by rank_less
-  /// into scored_, warm-started from rank_order_; writes the new order
-  /// back to rank_order_. Shared by quotes and kFresh dispatch, so one
-  /// site event ranks the backlog once.
+  /// Scores every pending task against `mix` and re-ranks ranked_ by
+  /// (score desc, id asc) in place. Shared by quotes and kFresh dispatch,
+  /// so one site event ranks the backlog once.
   void rank_pending(const MixView& mix);
   /// quote(), optionally answered from a matching memo (submit's path).
   /// Either way it counts and traces the quote.
@@ -383,12 +380,12 @@ class SiteScheduler {
   std::unordered_map<TaskId, TaskState*> by_id_;
   std::vector<TaskState*> pending_;
   std::vector<TaskState*> running_;
-  /// The pending slots in the priority order established by the last
-  /// ranking — the warm start that makes the per-quote and per-dispatch
-  /// sort an O(n) repair instead of O(n log n) from scratch. Slots, not
-  /// TaskState pointers, so a ranking pass gathers from slot-indexed
-  /// arrays instead of chasing every task in rank order.
-  std::vector<std::uint32_t> rank_order_;
+  /// The pending slots with their scores, kept in the priority order of
+  /// the last ranking plus the arrivals since — so a ranking is one pass
+  /// and a binary-search seat per arrival, not a sort. Slots, not
+  /// TaskState pointers, so a ranking pass reads slot-indexed arrays
+  /// instead of chasing every task in rank order.
+  RankedBacklog ranked_;
   std::deque<TaskRecord> records_;
   /// Arena for inject()ed trace tasks: arrival events carry an index into
   /// this deque instead of a task copy in a heap-allocated closure.
@@ -405,7 +402,7 @@ class SiteScheduler {
   std::vector<double> pending_decay_;
   std::vector<double> proc_free_;
   std::vector<PendingItem> projection_scratch_;
-  std::vector<double> heap_scratch_;
+  std::vector<double> free_scratch_;
   std::vector<TaskState*> droppable_;
   std::vector<TaskState*> to_start_;
   std::vector<TaskState*> to_preempt_;

@@ -80,11 +80,12 @@ struct RefPending {
   double score = 0.0;
 };
 
-/// Greedy list schedule over a sorted free-time array (no heap): each item
-/// claims the `width` earliest-free processors and starts when the last of
-/// them frees. Returns the completion of `ordered[index]`. The multiset of
-/// pop/push values is identical to a binary-heap implementation, so the
-/// result is bit-identical to core/schedule.cpp's completion_of.
+/// Greedy list schedule over a sorted free-time array: each item claims
+/// the `width` earliest-free processors and starts when the last of them
+/// frees. Returns the completion of `ordered[index]`. It erases and
+/// inserts where core/schedule.cpp's completion_of merges in place; both
+/// hold the same multiset of free times after every item, so the result is
+/// bit-identical.
 double naive_completion(std::vector<double> proc_free,
                         const std::vector<RefPending>& ordered,
                         const Task& candidate, std::size_t position);

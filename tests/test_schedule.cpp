@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "oracle/reference_math.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace mbts {
 namespace {
@@ -95,6 +101,62 @@ TEST(CompletionOf, IndexOutOfRangeThrows) {
   const std::vector<double> proc{0.0};
   const std::vector<PendingItem> items{{1, 5.0}};
   EXPECT_THROW(completion_of(proc, items, 1), CheckError);
+}
+
+TEST(CompletionOf, WidthOverCapacityThrows) {
+  const std::vector<double> proc{0.0, 0.0};
+  const std::vector<PendingItem> items{{1, 5.0, 1}, {2, 5.0, 3}};
+  EXPECT_EQ(completion_of(proc, items, 0), 5.0);
+  EXPECT_THROW(completion_of(proc, items, 1), CheckError);
+  EXPECT_THROW(list_schedule(proc, items), CheckError);
+}
+
+TEST(CompletionOf, MatchesListScheduleAndOracleOnGangs) {
+  // Random free times with ties and idle processors, gangs of every width,
+  // every index: the sorted-array projection must agree exactly with the
+  // full list schedule and with the oracle's erase-and-insert reference.
+  Xoshiro256 rng(11);
+  for (const std::size_t p : {1u, 2u, 6u, 24u}) {
+    for (int rep = 0; rep < 40; ++rep) {
+      const double now = std::floor(rng.uniform(0.0, 50.0));
+      std::vector<double> proc(p);
+      for (double& f : proc) {
+        const std::uint64_t kind = rng.below(3);
+        if (kind == 0) f = now;  // idle
+        else if (kind == 1) f = now + std::floor(rng.uniform(1.0, 8.0));  // ties
+        else f = now + rng.uniform(0.0, 30.0);
+      }
+      const std::size_t n = 1 + rng.below(30);
+      std::vector<PendingItem> items(n);
+      std::vector<Task> tasks(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double rpt = rng.bernoulli(0.3) ? std::floor(rng.uniform(1.0, 5.0))
+                                              : rng.uniform(0.5, 20.0);
+        const std::size_t width = 1 + rng.below(p);
+        items[i] = {static_cast<TaskId>(i + 1), rpt, width};
+        tasks[i].id = items[i].id;
+        tasks[i].runtime = rpt;
+        tasks[i].width = width;
+      }
+      const std::vector<ScheduleEntry> entries = list_schedule(proc, items);
+      std::vector<double> scratch;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::string label = "p=" + std::to_string(p) + " rep " +
+                                  std::to_string(rep) + " index " +
+                                  std::to_string(i);
+        std::vector<oracle::RefPending> ahead;
+        for (std::size_t j = 0; j < i; ++j)
+          ahead.push_back({&tasks[j], items[j].rpt, 0.0});
+        const double expected = entries[i].completion;
+        EXPECT_EQ(completion_of(proc, items, i), expected) << label;
+        EXPECT_EQ(completion_of(proc, items, i, scratch), expected) << label;
+        EXPECT_EQ(oracle::naive_completion(proc, ahead, tasks[i], i),
+                  expected)
+            << label;
+        EXPECT_EQ(entries[i].start + items[i].rpt, expected) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

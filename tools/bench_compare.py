@@ -7,6 +7,13 @@ the threshold are called out loudly, but the exit code is always 0: shared
 CI runners are too noisy to gate merges on wall-clock numbers, so this lane
 exists to leave a visible trail in the nightly logs, not to block.
 
+A file recorded with repetitions (tools/bench_dispatch.sh keeps the
+"median" and "cv" aggregate rows) is compared on its medians, and a delta
+only counts outside max(threshold, CV_K * CV), with CV the larger of the
+two sides' coefficients of variation: a case whose own runs spread by 8%
+cannot show a 10% change. Single-run files fall back to their iteration
+rows and the plain threshold.
+
 Usage: tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold PCT]
 """
 
@@ -14,17 +21,29 @@ import argparse
 import json
 import sys
 
+# A delta must also exceed this many CVs of the noisier side.
+CV_K = 3
+
 
 def load_benchmarks(path):
+    """Returns (context, {name: row}, {name: cv fraction}).
+
+    With median aggregate rows present, each case is its median row (keyed
+    by run_name) and its cv row, if any, gives the spread. Otherwise each
+    case is its iteration row and has no recorded spread.
+    """
     with open(path) as f:
         data = json.load(f)
-    out = {}
-    for b in data.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetitions).
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = b
-    return data.get("context", {}), out
+    rows = data.get("benchmarks", [])
+    medians = {b["run_name"]: b for b in rows
+               if b.get("aggregate_name") == "median"}
+    if not medians:
+        iterations = {b["name"]: b for b in rows
+                      if b.get("run_type") != "aggregate"}
+        return data.get("context", {}), iterations, {}
+    cvs = {b["run_name"]: b["real_time"] for b in rows
+           if b.get("aggregate_name") == "cv"}
+    return data.get("context", {}), medians, cvs
 
 
 def main():
@@ -36,8 +55,8 @@ def main():
         help="percent slowdown that counts as a regression (default 10)")
     args = parser.parse_args()
 
-    base_ctx, base = load_benchmarks(args.baseline)
-    cand_ctx, cand = load_benchmarks(args.candidate)
+    base_ctx, base, base_cv = load_benchmarks(args.baseline)
+    cand_ctx, cand, cand_cv = load_benchmarks(args.candidate)
 
     for label, ctx in (("baseline", base_ctx), ("candidate", cand_ctx)):
         build = ctx.get("mbts_build_type", "unknown")
@@ -68,7 +87,7 @@ def main():
     # break the table layout — or the lane.
     name_width = max((len(n) for n in set(base) | set(cand)), default=4)
     print(f"{'benchmark':<{name_width}}  {'baseline':>12}  {'candidate':>12}"
-          f"  {'delta':>8}")
+          f"  {'delta':>8}  {'band':>7}")
     for name in sorted(base):
         b = base[name]
         c = cand.get(name)
@@ -78,12 +97,16 @@ def main():
         bt, ct = b["real_time"], c["real_time"]
         unit = b.get("time_unit", "ns")
         delta = (ct - bt) / bt * 100.0 if bt else 0.0
+        cv = max(base_cv.get(name, 0.0), cand_cv.get(name, 0.0))
+        band = max(args.threshold, CV_K * cv * 100.0)
         marker = ""
-        if delta > args.threshold:
+        if delta > band:
             marker = "  <-- REGRESSION"
-            regressions.append((name, delta))
+            regressions.append((name, delta, band))
+        elif delta < -band:
+            marker = "  (faster)"
         print(f"{name:<{name_width}}  {bt:>10.0f}{unit}  {ct:>10.0f}{unit}"
-              f"  {delta:>+7.1f}%{marker}")
+              f"  {delta:>+7.1f}%  {band:>6.1f}%{marker}")
     # Candidate-only benchmarks are informational, never regressions: show
     # their timing so the first nightly after adding one still has numbers.
     for name in sorted(set(cand) - set(base)):
@@ -94,10 +117,11 @@ def main():
               f"{ct:>10.0f}{unit}")
 
     if regressions:
-        print(f"\n{len(regressions)} benchmark(s) regressed more than "
-              f"{args.threshold:.0f}% (report-only, not failing the job):")
-        for name, delta in regressions:
-            print(f"  {name}: {delta:+.1f}%")
+        print(f"\n{len(regressions)} benchmark(s) regressed beyond "
+              f"max({args.threshold:.0f}%, {CV_K}·CV) "
+              f"(report-only, not failing the job):")
+        for name, delta, band in regressions:
+            print(f"  {name}: {delta:+.1f}% (band {band:.1f}%)")
     else:
         print("\nno regressions beyond threshold")
     return 0

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Dispatch/quote hot-path benchmark runner. Runs the large-mix cases of
-# bench/micro_schedule (backlog dispatch, quote-vs-backlog) and
-# bench/micro_event_queue (cancel churn, bounded-horizon drains) and merges
-# their google-benchmark JSON into BENCH_dispatch.json at the repo root —
-# the perf trajectory record for the hot-path work.
+# bench/micro_schedule (backlog dispatch, quote-vs-backlog, the projection
+# step alone) and bench/micro_event_queue (cancel churn, bounded-horizon
+# drains) and merges their google-benchmark JSON into BENCH_dispatch.json
+# at the repo root — the perf trajectory record for the hot-path work.
 #
 # The committed JSON must come from an optimized build: the default build
 # dir is a dedicated Release tree (build-bench), configured here if absent,
@@ -12,12 +12,18 @@
 # only describes how the google-benchmark *library* was compiled, which is
 # how a debug-build baseline once got committed).
 #
+# Each case runs 5 times and the JSON keeps only the median and
+# coefficient-of-variation aggregate rows: one run of a case is not a
+# measurement on a shared host, and tools/bench_compare.py reads the CV to
+# tell a change from the case's own spread.
+#
 # Usage: tools/bench_dispatch.sh [build_dir] (default: build-bench)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build-bench}"
 OUT="$ROOT/BENCH_dispatch.json"
+REPEAT=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
 
 if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release
@@ -38,10 +44,12 @@ require_release() {
 }
 
 "$BUILD/bench/micro_schedule" \
-  --benchmark_filter='BM_DispatchBacklog|BM_DispatchBurst|BM_QuoteBacklog' \
+  --benchmark_filter='BM_CompletionOf|BM_DispatchBacklog|BM_DispatchBurst|BM_QuoteBacklog' \
+  "${REPEAT[@]}" \
   --benchmark_out="$TMP/schedule.json" --benchmark_out_format=json
 "$BUILD/bench/micro_event_queue" \
   --benchmark_filter='BM_CancelHeavyChurn|BM_RunUntilStrided' \
+  "${REPEAT[@]}" \
   --benchmark_out="$TMP/event_queue.json" --benchmark_out_format=json
 
 require_release "$TMP/schedule.json"
@@ -51,14 +59,18 @@ if command -v python3 >/dev/null; then
   python3 - "$TMP/schedule.json" "$TMP/event_queue.json" \
     "$OUT" <<'EOF'
 import json, sys
+KEEP = ("median", "cv")
 first = json.load(open(sys.argv[1]))
 for extra in sys.argv[2:-1]:
     first["benchmarks"].extend(json.load(open(extra))["benchmarks"])
+first["benchmarks"] = [b for b in first["benchmarks"]
+                       if b.get("aggregate_name") in KEEP]
 json.dump(first, open(sys.argv[-1], "w"), indent=1)
 print(f"wrote {sys.argv[-1]} ({len(first['benchmarks'])} benchmarks)")
 EOF
 else
-  # No python: keep the dispatch benchmarks, the headline numbers.
+  # No python: keep the dispatch benchmarks (every aggregate row), the
+  # headline numbers.
   cp "$TMP/schedule.json" "$OUT"
   echo "python3 not found; wrote micro_schedule results only to $OUT"
 fi
