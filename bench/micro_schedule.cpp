@@ -120,9 +120,10 @@ BENCHMARK(BM_DispatchBacklog)->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100
 // for a fixed window, so one iteration performs a few hundred full-queue
 // rescores at constant pending depth (unlike BM_DispatchBacklog, which
 // drains to empty and so can't reach 100k tasks in reasonable time).
-// arg1 toggles ScoreKernelMode: 0 = scalar AoS cache path, 1 = the batch
-// kernels (scheduler default) — committed side by side in
-// BENCH_dispatch.json so the kernel speedup is part of the perf record.
+// arg1 toggles ScoreKernelMode: 0 = the scalar per-task ScoreCache loop
+// (kOff), 1 = the batch kernels (scheduler default) — committed side by
+// side in BENCH_dispatch.json so the kernel speedup is part of the perf
+// record.
 void BM_DispatchBurst(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool kernels = state.range(1) != 0;

@@ -13,24 +13,21 @@ double FirstPricePolicy::priority(const Task& task, double rpt,
 }
 
 void FirstPricePolicy::kernel_make_cache(const ScoreColumnsView& cols,
-                                         const MixView& mix,
-                                         KernelVariant variant, double* a,
+                                         const MixView& mix, double* a,
                                          double* b, double* c) const {
   (void)b;
   (void)c;
   kernels::unit_gain_scores(cols, mix.now,
-                            basis_ == YieldBasis::kAtCompletion, variant, a);
+                            basis_ == YieldBasis::kAtCompletion, a);
 }
 
 void FirstPricePolicy::kernel_priority(const ScoreColumnsView& cols,
                                        const double* a, const double* b,
                                        const double* c, const MixView& mix,
-                                       KernelVariant variant,
                                        double* out) const {
   (void)b;
   (void)c;
   (void)mix;
-  (void)variant;
   std::copy(a, a + cols.n, out);
 }
 

@@ -52,45 +52,9 @@ double FirstRewardPolicy::priority_from_cache(const ScoreCache& cache,
   return (cache.a - (1.0 - alpha_) * cost) / cache.c;
 }
 
-void FirstRewardPolicy::batch_make_cache(const Task* const* tasks,
-                                         const double* rpts, std::size_t n,
-                                         const MixView& mix,
-                                         ScoreCache* out) const {
-  // Same float ops as make_cache, minus one virtual dispatch per task.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Task& task = *tasks[i];
-    const double rpt = rpts[i];
-    MBTS_DCHECK(rpt > 0.0);
-    const double yield = yield_for_ranking(task, mix.now, rpt, basis_);
-    const double pv = present_value(yield, mix.discount_rate, rpt);
-    out[i].a = alpha_ * pv;
-    out[i].b = task.value.decay_at_delay(task.delay_at_completion(mix.now));
-    out[i].c = rpt * static_cast<double>(task.width);
-  }
-}
-
-void FirstRewardPolicy::batch_priority_from_cache(
-    const ScoreCache* caches, const Task* const* tasks, const double* rpts,
-    std::size_t n, const MixView& mix, double* out) const {
-  if (mix.any_bounded) {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = priority_from_cache(caches[i], *tasks[i], rpts[i], mix);
-    return;
-  }
-  // Eq. 5 fast path, identical arithmetic to priority_from_cache.
-  const double total = mix.total_live_decay;
-  const double weight = 1.0 - alpha_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double cost = std::max(total - caches[i].b, 0.0) * rpts[i];
-    out[i] = (caches[i].a - weight * cost) / caches[i].c;
-  }
-}
-
 void FirstRewardPolicy::kernel_make_cache(const ScoreColumnsView& cols,
-                                          const MixView& mix,
-                                          KernelVariant variant, double* a,
+                                          const MixView& mix, double* a,
                                           double* b, double* c) const {
-  (void)variant;
   kernels::first_reward_cache(cols, mix.now, mix.discount_rate, alpha_,
                               basis_ == YieldBasis::kAtCompletion, a, b, c);
 }
@@ -98,18 +62,17 @@ void FirstRewardPolicy::kernel_make_cache(const ScoreColumnsView& cols,
 void FirstRewardPolicy::kernel_priority(const ScoreColumnsView& cols,
                                         const double* a, const double* b,
                                         const double* c, const MixView& mix,
-                                        KernelVariant variant,
                                         double* out) const {
   if (mix.any_bounded) {
     // Eq. 4 opportunity cost walks the competitor list per task — no flat
-    // columnar form; same scalar fallback as batch_priority_from_cache.
+    // columnar form, so fall back to the scalar combine per slot.
     for (std::size_t i = 0; i < cols.n; ++i)
       out[i] = priority_from_cache({a[i], b[i], c[i]}, *cols.tasks[i],
                                    cols.rpt[i], mix);
     return;
   }
   kernels::first_reward_combine(cols, a, b, c, mix.total_live_decay, alpha_,
-                                variant, out);
+                                out);
 }
 
 }  // namespace mbts

@@ -30,25 +30,15 @@ class FirstRewardPolicy final : public SchedulingPolicy {
                         const MixView& mix) const override;
   double priority_from_cache(const ScoreCache& cache, const Task& task,
                              double rpt, const MixView& mix) const override;
-  void batch_make_cache(const Task* const* tasks, const double* rpts,
-                        std::size_t n, const MixView& mix,
-                        ScoreCache* out) const override;
-  void batch_priority_from_cache(const ScoreCache* caches,
-                                 const Task* const* tasks, const double* rpts,
-                                 std::size_t n, const MixView& mix,
-                                 double* out) const override;
 
-  /// SoA kernels. The cache pass is always exact (under kFast only the
-  /// combine's final division switches to a reciprocal multiply); a
-  /// bounded mix drops the combine to the scalar Eq. 4 loop, like
-  /// batch_priority_from_cache.
+  /// SoA kernels. A bounded mix drops the combine to the scalar Eq. 4
+  /// loop over priority_from_cache.
   bool kernelizable() const override { return true; }
   void kernel_make_cache(const ScoreColumnsView& cols, const MixView& mix,
-                         KernelVariant variant, double* a, double* b,
-                         double* c) const override;
+                         double* a, double* b, double* c) const override;
   void kernel_priority(const ScoreColumnsView& cols, const double* a,
                        const double* b, const double* c, const MixView& mix,
-                       KernelVariant variant, double* out) const override;
+                       double* out) const override;
 
   double alpha() const { return alpha_; }
 

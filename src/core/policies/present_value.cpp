@@ -17,25 +17,21 @@ double PresentValuePolicy::priority(const Task& task, double rpt,
 }
 
 void PresentValuePolicy::kernel_make_cache(const ScoreColumnsView& cols,
-                                           const MixView& mix,
-                                           KernelVariant variant, double* a,
+                                           const MixView& mix, double* a,
                                            double* b, double* c) const {
   (void)b;
   (void)c;
   kernels::present_value_scores(cols, mix.now, mix.discount_rate,
-                                basis_ == YieldBasis::kAtCompletion, variant,
-                                a);
+                                basis_ == YieldBasis::kAtCompletion, a);
 }
 
 void PresentValuePolicy::kernel_priority(const ScoreColumnsView& cols,
                                          const double* a, const double* b,
                                          const double* c, const MixView& mix,
-                                         KernelVariant variant,
                                          double* out) const {
   (void)b;
   (void)c;
   (void)mix;
-  (void)variant;
   std::copy(a, a + cols.n, out);
 }
 

@@ -26,22 +26,15 @@ class PresentValuePolicy final : public SchedulingPolicy {
                              const MixView&) const override {
     return cache.a;
   }
-  void batch_priority_from_cache(const ScoreCache* caches,
-                                 const Task* const*, const double*,
-                                 std::size_t n, const MixView&,
-                                 double* out) const override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = caches[i].a;
-  }
 
   // SoA kernels: the cached score lives in column a; the priority pass is
   // a straight copy.
   bool kernelizable() const override { return true; }
   void kernel_make_cache(const ScoreColumnsView& cols, const MixView& mix,
-                         KernelVariant variant, double* a, double* b,
-                         double* c) const override;
+                         double* a, double* b, double* c) const override;
   void kernel_priority(const ScoreColumnsView& cols, const double* a,
                        const double* b, const double* c, const MixView& mix,
-                       KernelVariant variant, double* out) const override;
+                       double* out) const override;
 
  private:
   YieldBasis basis_;

@@ -18,21 +18,19 @@ double SwptPolicy::priority(const Task& task, double rpt,
 }
 
 void SwptPolicy::kernel_make_cache(const ScoreColumnsView& cols,
-                                   const MixView& mix, KernelVariant variant,
-                                   double* a, double* b, double* c) const {
+                                   const MixView& mix, double* a, double* b,
+                                   double* c) const {
   (void)b;
   (void)c;
-  kernels::swpt_scores(cols, mix.now, variant, a);
+  kernels::swpt_scores(cols, mix.now, a);
 }
 
 void SwptPolicy::kernel_priority(const ScoreColumnsView& cols, const double* a,
                                  const double* b, const double* c,
-                                 const MixView& mix, KernelVariant variant,
-                                 double* out) const {
+                                 const MixView& mix, double* out) const {
   (void)b;
   (void)c;
   (void)mix;
-  (void)variant;
   std::copy(a, a + cols.n, out);
 }
 

@@ -70,43 +70,21 @@ class SchedulingPolicy {
     return priority(task, rpt, mix);
   }
 
-  /// Batch variants over parallel arrays: one virtual call per queue scan
-  /// instead of one per task, so implementations can run a tight inlined
-  /// loop. Element-wise BIT-IDENTICAL to the scalar calls above — the
-  /// scheduler cross-checks in debug builds.
-  virtual void batch_make_cache(const Task* const* tasks, const double* rpts,
-                                std::size_t n, const MixView& mix,
-                                ScoreCache* out) const {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = make_cache(*tasks[i], rpts[i], mix);
-  }
-
-  virtual void batch_priority_from_cache(const ScoreCache* caches,
-                                         const Task* const* tasks,
-                                         const double* rpts, std::size_t n,
-                                         const MixView& mix,
-                                         double* out) const {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = priority_from_cache(caches[i], *tasks[i], rpts[i], mix);
-  }
-
   /// True when the SoA kernel pair below is implemented. Same contract as
-  /// cacheable(), lifted to columns: in KernelVariant::kExact,
-  /// kernel_make_cache must fill (a, b, c) bit-identical to make_cache and
-  /// kernel_priority must be bit-identical to priority_from_cache — for
-  /// every slot whose value function is single-segment (cols.linear). The
-  /// scheduler overwrites non-linear slots with scalar make_cache results
-  /// before calling kernel_priority, so only the cache pass may price them
-  /// loosely. kFast is the documented-ulp reassociation variant
-  /// (DESIGN.md §6); it is opt-in and never the scheduler default.
+  /// cacheable(), lifted to columns: kernel_make_cache must fill (a, b, c)
+  /// bit-identical to make_cache and kernel_priority must be bit-identical
+  /// to priority_from_cache — for every slot whose value function is
+  /// single-segment (cols.linear). The scheduler overwrites non-linear
+  /// slots with scalar make_cache results before calling kernel_priority,
+  /// so only the cache pass may price them loosely; debug builds
+  /// cross-check the kernel scores against priority().
   virtual bool kernelizable() const { return false; }
 
   /// Columnwise make_cache: fills the cache columns for all cols.n slots.
   /// May read only mix.now and mix.discount_rate, like make_cache.
   virtual void kernel_make_cache(const ScoreColumnsView& cols,
-                                 const MixView& mix, KernelVariant variant,
-                                 double* a, double* b, double* c) const {
-    (void)variant;
+                                 const MixView& mix, double* a, double* b,
+                                 double* c) const {
     for (std::size_t i = 0; i < cols.n; ++i) {
       const ScoreCache cache = make_cache(*cols.tasks[i], cols.rpt[i], mix);
       a[i] = cache.a;
@@ -119,9 +97,7 @@ class SchedulingPolicy {
   /// current mix into out[0..cols.n).
   virtual void kernel_priority(const ScoreColumnsView& cols, const double* a,
                                const double* b, const double* c,
-                               const MixView& mix, KernelVariant variant,
-                               double* out) const {
-    (void)variant;
+                               const MixView& mix, double* out) const {
     for (std::size_t i = 0; i < cols.n; ++i)
       out[i] = priority_from_cache({a[i], b[i], c[i]}, *cols.tasks[i],
                                    cols.rpt[i], mix);

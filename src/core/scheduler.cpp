@@ -132,77 +132,14 @@ double SiteScheduler::score_of(TaskState& ts, double rpt,
 
 void SiteScheduler::batch_fresh_scores(const MixView& mix) {
   MBTS_PROF_SCOPE("scheduler/rescore");
-  const std::span<TaskState* const> tasks = pending_;
-  const std::size_t n = tasks.size();
+  const std::size_t n = pending_.size();
   batch_scores_.resize(n);
-  if (!policy_cacheable_) {
-    for (std::size_t i = 0; i < n; ++i)
-      batch_scores_[i] =
-          policy_->priority(tasks[i]->task, tasks[i]->queue_rpt, mix);
-    return;
-  }
   if (kernel_enabled_) {
     kernel_fresh_scores(mix);
     return;
   }
-  batch_caches_.resize(n);
-  batch_tasks_.resize(n);
-  batch_rpts_.resize(n);
-  std::size_t misses = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const TaskState& ts = *tasks[i];
-    batch_tasks_[i] = &ts.task;
-    batch_rpts_[i] = ts.queue_rpt;
-    misses += static_cast<std::size_t>(ts.score_cache_now != mix.now ||
-                                       ts.score_cache_rpt != ts.queue_rpt);
-  }
-  if (misses == 0) {
-    // Quote burst at one instant: every cache is warm.
-    for (std::size_t i = 0; i < n; ++i) batch_caches_[i] = tasks[i]->score_cache;
-  } else if (misses == n) {
-    // First scan at a new instant: rebuild everything in one call.
-    policy_->batch_make_cache(batch_tasks_.data(), batch_rpts_.data(), n, mix,
-                              batch_caches_.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      TaskState& ts = *tasks[i];
-      ts.score_cache = batch_caches_[i];
-      ts.score_cache_now = mix.now;
-      ts.score_cache_rpt = ts.queue_rpt;
-    }
-  } else {
-    miss_idx_.clear();
-    miss_tasks_.clear();
-    miss_rpts_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      TaskState& ts = *tasks[i];
-      if (ts.score_cache_now != mix.now ||
-          ts.score_cache_rpt != ts.queue_rpt) {
-        miss_idx_.push_back(i);
-        miss_tasks_.push_back(&ts.task);
-        miss_rpts_.push_back(ts.queue_rpt);
-      } else {
-        batch_caches_[i] = ts.score_cache;
-      }
-    }
-    miss_caches_.resize(miss_idx_.size());
-    policy_->batch_make_cache(miss_tasks_.data(), miss_rpts_.data(),
-                              miss_idx_.size(), mix, miss_caches_.data());
-    for (std::size_t j = 0; j < miss_idx_.size(); ++j) {
-      TaskState& ts = *tasks[miss_idx_[j]];
-      ts.score_cache = miss_caches_[j];
-      ts.score_cache_now = mix.now;
-      ts.score_cache_rpt = ts.queue_rpt;
-      batch_caches_[miss_idx_[j]] = miss_caches_[j];
-    }
-  }
-  policy_->batch_priority_from_cache(batch_caches_.data(),
-                                     batch_tasks_.data(), batch_rpts_.data(),
-                                     n, mix, batch_scores_.data());
-#ifndef NDEBUG
   for (std::size_t i = 0; i < n; ++i)
-    MBTS_DCHECK(batch_scores_[i] ==
-                policy_->priority(tasks[i]->task, tasks[i]->queue_rpt, mix));
-#endif
+    batch_scores_[i] = fresh_score(*pending_[i], pending_[i]->queue_rpt, mix);
 }
 
 void SiteScheduler::kernel_refresh_columns(const MixView& mix) {
@@ -219,8 +156,8 @@ void SiteScheduler::kernel_refresh_columns(const MixView& mix) {
   if (hits == 0) {
     // First scan at a new instant: one vector pass over every slot, then
     // overwrite the piecewise slots the flat columns cannot describe with
-    // the scalar make_cache result (exact in every variant).
-    policy_->kernel_make_cache(view, mix, kernel_variant(), a, b, c);
+    // the scalar make_cache result.
+    policy_->kernel_make_cache(view, mix, a, b, c);
     if (columns_.nonlinear_count() > 0) {
       for (std::size_t i = 0; i < m; ++i) {
         if (view.linear[i]) continue;
@@ -233,10 +170,8 @@ void SiteScheduler::kernel_refresh_columns(const MixView& mix) {
     }
     std::fill(stamp, stamp + m, mix.now);
   } else {
-    // Mid-instant arrivals: only the freshly-pushed slots are stale.
-    // Scalar make_cache per miss — exact, so under kFast a slot scored at
-    // a fresh instant and one refreshed here may differ by the documented
-    // ulp tolerance, deterministically (DESIGN.md §6).
+    // Mid-instant arrivals: only the freshly-pushed slots are stale, so
+    // run the scalar make_cache per miss.
     for (std::size_t i = 0; i < m; ++i) {
       if (stamp[i] == mix.now) continue;
       const ScoreCache cache =
@@ -256,25 +191,22 @@ void SiteScheduler::kernel_fresh_scores(const MixView& mix) {
   kernel_refresh_columns(mix);
   policy_->kernel_priority(columns_.view(), columns_.cache_a(),
                            columns_.cache_b(), columns_.cache_c(), mix,
-                           kernel_variant(), batch_scores_.data());
+                           batch_scores_.data());
 #ifndef NDEBUG
+  // Bit-identity cross-check against the scalar path. Exhaustive up to
+  // 4096 pending; beyond that a strided sample keeps debug builds of the
+  // 100k-pending fingerprint/bench scenarios from going quadratic (the
+  // exhaustive check still runs in every normal-sized test).
   const std::span<TaskState* const> tasks = pending_;
   const std::size_t n = tasks.size();
-  if (config_.score_kernels == ScoreKernelMode::kExact) {
-    // Bit-identity cross-check against the scalar path. Exhaustive up to
-    // 4096 pending; beyond that a strided sample keeps debug builds of the
-    // 100k-pending fingerprint/bench scenarios from going quadratic (the
-    // exhaustive check still runs in every normal-sized test).
-    const std::size_t stride = n <= 4096 ? 1 : 97;
-    for (std::size_t i = 0; i < n; i += stride)
-      MBTS_DCHECK(batch_scores_[i] == policy_->priority(
-                                          tasks[i]->task,
-                                          tasks[i]->queue_rpt, mix));
-    if (n > 0)
-      MBTS_DCHECK(batch_scores_[n - 1] == policy_->priority(
-                                              tasks[n - 1]->task,
-                                              tasks[n - 1]->queue_rpt, mix));
-  }
+  const std::size_t stride = n <= 4096 ? 1 : 97;
+  for (std::size_t i = 0; i < n; i += stride)
+    MBTS_DCHECK(batch_scores_[i] ==
+                policy_->priority(tasks[i]->task, tasks[i]->queue_rpt, mix));
+  if (n > 0)
+    MBTS_DCHECK(batch_scores_[n - 1] ==
+                policy_->priority(tasks[n - 1]->task,
+                                  tasks[n - 1]->queue_rpt, mix));
 #endif
 }
 

@@ -43,16 +43,15 @@ class TraceRecorder;
 enum class RescorePolicy { kFresh, kAtEnqueue };
 
 /// Whether the pending-queue rescore runs through the SoA batch kernels
-/// (ScoreColumns + SchedulingPolicy::kernel_*) instead of the per-task
-/// AoS ScoreCache path.
-///  - kOff: the PR-1 AoS path, kept as the differential baseline.
+/// (ScoreColumns + SchedulingPolicy::kernel_*).
+///  - kOff: every pending task is scored through fresh_score, the scalar
+///    per-task ScoreCache path — the reference the kernels are checked
+///    against (tests and the differential oracle).
 ///  - kExact (default): kernels with the scalar operation order — rankings
 ///    are bit-identical to kOff (golden fingerprint + oracle pinned).
-///  - kFast: reciprocal-multiply kernels, deterministic but only
-///    ulp-accurate vs kExact (DESIGN.md §6); opt-in.
-/// Only engaged when the policy is kernelizable(); otherwise scoring falls
-/// back to the AoS path regardless of this setting.
-enum class ScoreKernelMode { kOff, kExact, kFast };
+/// Only engaged when the policy is kernelizable(); otherwise scoring takes
+/// the scalar path regardless of this setting.
+enum class ScoreKernelMode { kOff, kExact };
 
 struct SchedulerConfig {
   std::size_t processors = 16;
@@ -305,15 +304,13 @@ class SiteScheduler {
   /// policy supports it (bit-identical; cross-checked in debug builds).
   double fresh_score(TaskState& ts, double rpt, const MixView& mix) const;
   /// Fresh scores for every pending task (rpt = queue_rpt) into
-  /// batch_scores_ in slot (pending_) order, via the policy's batch entry
-  /// points: one virtual call per scan. Element-wise bit-identical to
-  /// fresh_score.
+  /// batch_scores_ in slot (pending_) order: the SoA kernels when
+  /// kernel_enabled_, else fresh_score per task.
   void batch_fresh_scores(const MixView& mix);
-  /// Kernel-path twin of batch_fresh_scores: refreshes the ScoreColumns
-  /// cache columns for `mix.now` and runs the policy's columnwise priority
+  /// Kernel path of batch_fresh_scores: refreshes the ScoreColumns cache
+  /// columns for `mix.now` and runs the policy's columnwise priority
   /// kernel into batch_scores_ (slot order == pending_ order).
-  /// Bit-identical to the AoS path under ScoreKernelMode::kExact;
-  /// cross-checked in debug builds.
+  /// Bit-identical to fresh_score; cross-checked in debug builds.
   void kernel_fresh_scores(const MixView& mix);
   /// Rebuilds stale cache columns (stamp_now != mix.now): one vector
   /// kernel_make_cache pass when everything is stale (the dispatch-at-a-
@@ -321,11 +318,6 @@ class SiteScheduler {
   /// or a scalar per-slot pass when only a few slots missed (arrivals
   /// landing mid-instant between quotes).
   void kernel_refresh_columns(const MixView& mix);
-  KernelVariant kernel_variant() const {
-    return config_.score_kernels == ScoreKernelMode::kFast
-               ? KernelVariant::kFast
-               : KernelVariant::kExact;
-  }
   /// (score desc, id asc) — the total order admission ranks pending by.
   static bool rank_less(const Scored& a, const Scored& b);
 
@@ -406,15 +398,8 @@ class SiteScheduler {
   std::vector<TaskState*> droppable_;
   std::vector<TaskState*> to_start_;
   std::vector<TaskState*> to_preempt_;
-  // Parallel arrays for the policy batch-scoring calls.
+  /// Pending scores in slot (pending_) order, from batch_fresh_scores.
   std::vector<double> batch_scores_;
-  std::vector<ScoreCache> batch_caches_;
-  std::vector<const Task*> batch_tasks_;
-  std::vector<double> batch_rpts_;
-  std::vector<std::size_t> miss_idx_;
-  std::vector<const Task*> miss_tasks_;
-  std::vector<double> miss_rpts_;
-  std::vector<ScoreCache> miss_caches_;
   /// SoA mirror of pending_ (slot i == pending_[i]; see score_columns.hpp),
   /// maintained only when kernel_enabled_.
   ScoreColumns columns_;

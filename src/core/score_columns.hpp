@@ -1,14 +1,15 @@
 // Structure-of-arrays mirror of the pending queue's scoring inputs.
 //
-// The PR-1 hot path batched scoring through per-task `ScoreCache` records,
-// but every input the policy kernels need (rpt, value-function terms, the
-// anchor the contract measures delay from) still lived scattered across
+// Every input the policy kernels need (rpt, value-function terms, the
+// anchor the contract measures delay from) otherwise lives scattered across
 // `TaskState`/`Task`/`ValueFunction` objects — an AoS layout the compiler
 // cannot vectorize across the candidate set. `ScoreColumns` keeps those
 // inputs as parallel flat `double` arrays, one slot per pending task,
 // maintained with the exact same push-back / swap-with-back moves as the
 // scheduler's index-swap `pending_` queue, so slot i here always describes
-// `pending_[i]` and `TaskState::queue_pos` doubles as the slot id.
+// `pending_[i]` and `TaskState::queue_pos` doubles as the slot id. The
+// scalar per-task `ScoreCache` remains the definition the kernels must
+// match bit for bit (ScoreKernelMode::kOff scores through it alone).
 //
 // Columns are *immutable per slot* while a task sits in the queue: rpt is
 // latched at enqueue (`queue_rpt`) and every value-function term is a
@@ -25,15 +26,6 @@
 
 namespace mbts {
 
-/// Which arithmetic the batch kernels use.
-///  - kExact: same operation order per element as the scalar policy code —
-///    results are bit-identical to `priority`/`make_cache` by contract.
-///  - kFast: final per-element divisions become multiplications by
-///    reciprocal columns precomputed at enqueue. Reassociation-based, so
-///    results agree only to a few ulp (see DESIGN.md §6); never the
-///    default and never drawn by the differential fuzzer.
-enum class KernelVariant { kExact, kFast };
-
 /// Read-only view of the column arrays a kernel consumes. Raw pointers —
 /// contiguous, no aliasing with the output span (kernels write only `out`
 /// or the cache columns they are handed).
@@ -43,9 +35,6 @@ struct ScoreColumnsView {
   const double* rpt = nullptr;
   /// rpt * width, exactly as the scalar `unit_gain` denominator computes it.
   const double* rptw = nullptr;
-  /// 1.0 / rpt and 1.0 / rptw, precomputed for KernelVariant::kFast.
-  const double* inv_rpt = nullptr;
-  const double* inv_rptw = nullptr;
   /// Contract anchor: arrival + estimate(). Delay at completion c is
   /// max(c - anchor, 0), matching `Task::delay_at_completion`.
   const double* anchor = nullptr;
@@ -79,8 +68,6 @@ class ScoreColumns {
     // enqueue instead of per score is bit-equal because the inputs are
     // frozen for the slot's lifetime.
     rptw_.push_back(queue_rpt * static_cast<double>(task.width));
-    inv_rpt_.push_back(1.0 / queue_rpt);
-    inv_rptw_.push_back(1.0 / rptw_.back());
     anchor_.push_back(task.arrival + task.estimate());
     max_value_.push_back(vf.max_value());
     rate_.push_back(vf.decay());
@@ -105,8 +92,6 @@ class ScoreColumns {
     if (slot != last) {
       rpt_[slot] = rpt_[last];
       rptw_[slot] = rptw_[last];
-      inv_rpt_[slot] = inv_rpt_[last];
-      inv_rptw_[slot] = inv_rptw_[last];
       anchor_[slot] = anchor_[last];
       max_value_[slot] = max_value_[last];
       rate_[slot] = rate_[last];
@@ -121,8 +106,6 @@ class ScoreColumns {
     }
     rpt_.pop_back();
     rptw_.pop_back();
-    inv_rpt_.pop_back();
-    inv_rptw_.pop_back();
     anchor_.pop_back();
     max_value_.pop_back();
     rate_.pop_back();
@@ -141,8 +124,6 @@ class ScoreColumns {
     v.n = rpt_.size();
     v.rpt = rpt_.data();
     v.rptw = rptw_.data();
-    v.inv_rpt = inv_rpt_.data();
-    v.inv_rptw = inv_rptw_.data();
     v.anchor = anchor_.data();
     v.max_value = max_value_.data();
     v.rate = rate_.data();
@@ -173,8 +154,6 @@ class ScoreColumns {
   void clear() {
     rpt_.clear();
     rptw_.clear();
-    inv_rpt_.clear();
-    inv_rptw_.clear();
     anchor_.clear();
     max_value_.clear();
     rate_.clear();
@@ -192,8 +171,6 @@ class ScoreColumns {
  private:
   std::vector<double> rpt_;
   std::vector<double> rptw_;
-  std::vector<double> inv_rpt_;
-  std::vector<double> inv_rptw_;
   std::vector<double> anchor_;
   std::vector<double> max_value_;
   std::vector<double> rate_;

@@ -3,8 +3,8 @@
 // The portable loops are written as straight-line per-element code over
 // contiguous columns — no per-element branches beyond the clamp/floor
 // selects the scalar formulas themselves contain (which compile to
-// maxsd/cmp+blend, not branches). The yield-basis and variant switches are
-// hoisted out of the loops via template parameters.
+// maxsd/cmp+blend, not branches). The yield-basis switch is hoisted out of
+// the loops via a template parameter.
 #include "core/score_kernels.hpp"
 
 namespace mbts::kernels {
@@ -38,9 +38,8 @@ namespace portable {
 
 namespace {
 
-// AtCompletion: yield anchored at now + rpt (YieldBasis::kAtCompletion);
-// Fast: multiply by the precomputed reciprocal instead of dividing.
-template <bool AtCompletion, bool Fast>
+// AtCompletion: yield anchored at now + rpt (YieldBasis::kAtCompletion).
+template <bool AtCompletion>
 void unit_gain_loop(const ScoreColumnsView& cols, double now, double* out) {
   for (std::size_t i = 0; i < cols.n; ++i) {
     const double completion = AtCompletion ? now + cols.rpt[i] : now;
@@ -48,11 +47,11 @@ void unit_gain_loop(const ScoreColumnsView& cols, double now, double* out) {
     const double y =
         detail::linear_yield(d, cols.max_value[i], cols.rate[i],
                              cols.neg_bound[i]);
-    out[i] = Fast ? y * cols.inv_rptw[i] : y / cols.rptw[i];
+    out[i] = y / cols.rptw[i];
   }
 }
 
-template <bool AtCompletion, bool Fast>
+template <bool AtCompletion>
 void present_value_loop(const ScoreColumnsView& cols, double now,
                         double discount_rate, double* out) {
   for (std::size_t i = 0; i < cols.n; ++i) {
@@ -62,16 +61,7 @@ void present_value_loop(const ScoreColumnsView& cols, double now,
         detail::linear_yield(d, cols.max_value[i], cols.rate[i],
                              cols.neg_bound[i]);
     const double pv = y / (1.0 + discount_rate * cols.rpt[i]);
-    out[i] = Fast ? pv * cols.inv_rptw[i] : pv / cols.rptw[i];
-  }
-}
-
-template <bool Fast>
-void swpt_loop(const ScoreColumnsView& cols, double now, double* out) {
-  for (std::size_t i = 0; i < cols.n; ++i) {
-    const double d = detail::clamped_delay(now, cols.anchor[i]);
-    const double w = detail::linear_decay(d, cols.rate[i], cols.expire[i]);
-    out[i] = Fast ? w * cols.inv_rpt[i] : w / cols.rpt[i];
+    out[i] = pv / cols.rptw[i];
   }
 }
 
@@ -93,50 +83,27 @@ void first_reward_cache_loop(const ScoreColumnsView& cols, double now,
   }
 }
 
-template <bool Fast>
-void first_reward_combine_loop(const ScoreColumnsView& cols, const double* a,
-                               const double* b, const double* c, double total,
-                               double weight, double* out) {
-  for (std::size_t i = 0; i < cols.n; ++i) {
-    const double others = total - b[i];
-    // std::max(others, 0.0) spelled out: (others < 0) ? 0 : others.
-    const double cost = (others < 0.0 ? 0.0 : others) * cols.rpt[i];
-    const double num = a[i] - weight * cost;
-    out[i] = Fast ? num * cols.inv_rptw[i] : num / c[i];
-  }
-}
-
 }  // namespace
 
 void unit_gain_scores(const ScoreColumnsView& cols, double now,
-                      bool at_completion, KernelVariant variant, double* out) {
-  const bool fast = variant == KernelVariant::kFast;
-  if (at_completion) {
-    fast ? unit_gain_loop<true, true>(cols, now, out)
-         : unit_gain_loop<true, false>(cols, now, out);
-  } else {
-    fast ? unit_gain_loop<false, true>(cols, now, out)
-         : unit_gain_loop<false, false>(cols, now, out);
-  }
+                      bool at_completion, double* out) {
+  at_completion ? unit_gain_loop<true>(cols, now, out)
+                : unit_gain_loop<false>(cols, now, out);
 }
 
 void present_value_scores(const ScoreColumnsView& cols, double now,
                           double discount_rate, bool at_completion,
-                          KernelVariant variant, double* out) {
-  const bool fast = variant == KernelVariant::kFast;
-  if (at_completion) {
-    fast ? present_value_loop<true, true>(cols, now, discount_rate, out)
-         : present_value_loop<true, false>(cols, now, discount_rate, out);
-  } else {
-    fast ? present_value_loop<false, true>(cols, now, discount_rate, out)
-         : present_value_loop<false, false>(cols, now, discount_rate, out);
-  }
+                          double* out) {
+  at_completion ? present_value_loop<true>(cols, now, discount_rate, out)
+                : present_value_loop<false>(cols, now, discount_rate, out);
 }
 
-void swpt_scores(const ScoreColumnsView& cols, double now,
-                 KernelVariant variant, double* out) {
-  variant == KernelVariant::kFast ? swpt_loop<true>(cols, now, out)
-                                  : swpt_loop<false>(cols, now, out);
+void swpt_scores(const ScoreColumnsView& cols, double now, double* out) {
+  for (std::size_t i = 0; i < cols.n; ++i) {
+    const double d = detail::clamped_delay(now, cols.anchor[i]);
+    const double w = detail::linear_decay(d, cols.rate[i], cols.expire[i]);
+    out[i] = w / cols.rpt[i];
+  }
 }
 
 void first_reward_cache(const ScoreColumnsView& cols, double now,
@@ -150,53 +117,52 @@ void first_reward_cache(const ScoreColumnsView& cols, double now,
 
 void first_reward_combine(const ScoreColumnsView& cols, const double* a,
                           const double* b, const double* c,
-                          double total_live_decay, double alpha,
-                          KernelVariant variant, double* out) {
-  // Hoisted exactly like the scalar batch_priority_from_cache.
+                          double total_live_decay, double alpha, double* out) {
+  // (1 - alpha) hoisted; the scalar priority_from_cache computes the same
+  // value per call, so the product below is bit-identical.
   const double weight = 1.0 - alpha;
-  variant == KernelVariant::kFast
-      ? first_reward_combine_loop<true>(cols, a, b, c, total_live_decay,
-                                        weight, out)
-      : first_reward_combine_loop<false>(cols, a, b, c, total_live_decay,
-                                         weight, out);
+  for (std::size_t i = 0; i < cols.n; ++i) {
+    const double others = total_live_decay - b[i];
+    // std::max(others, 0.0) spelled out: (others < 0) ? 0 : others.
+    const double cost = (others < 0.0 ? 0.0 : others) * cols.rpt[i];
+    const double num = a[i] - weight * cost;
+    out[i] = num / c[i];
+  }
 }
 
 }  // namespace portable
 
 void unit_gain_scores(const ScoreColumnsView& cols, double now,
-                      bool at_completion, KernelVariant variant, double* out) {
+                      bool at_completion, double* out) {
 #if defined(MBTS_HAVE_AVX2)
   if (avx2_active()) {
-    avx2::unit_gain_scores(cols, now, at_completion, variant, out);
+    avx2::unit_gain_scores(cols, now, at_completion, out);
     return;
   }
 #endif
-  portable::unit_gain_scores(cols, now, at_completion, variant, out);
+  portable::unit_gain_scores(cols, now, at_completion, out);
 }
 
 void present_value_scores(const ScoreColumnsView& cols, double now,
                           double discount_rate, bool at_completion,
-                          KernelVariant variant, double* out) {
+                          double* out) {
 #if defined(MBTS_HAVE_AVX2)
   if (avx2_active()) {
-    avx2::present_value_scores(cols, now, discount_rate, at_completion,
-                               variant, out);
+    avx2::present_value_scores(cols, now, discount_rate, at_completion, out);
     return;
   }
 #endif
-  portable::present_value_scores(cols, now, discount_rate, at_completion,
-                                 variant, out);
+  portable::present_value_scores(cols, now, discount_rate, at_completion, out);
 }
 
-void swpt_scores(const ScoreColumnsView& cols, double now,
-                 KernelVariant variant, double* out) {
+void swpt_scores(const ScoreColumnsView& cols, double now, double* out) {
 #if defined(MBTS_HAVE_AVX2)
   if (avx2_active()) {
-    avx2::swpt_scores(cols, now, variant, out);
+    avx2::swpt_scores(cols, now, out);
     return;
   }
 #endif
-  portable::swpt_scores(cols, now, variant, out);
+  portable::swpt_scores(cols, now, out);
 }
 
 void first_reward_cache(const ScoreColumnsView& cols, double now,
@@ -215,17 +181,14 @@ void first_reward_cache(const ScoreColumnsView& cols, double now,
 
 void first_reward_combine(const ScoreColumnsView& cols, const double* a,
                           const double* b, const double* c,
-                          double total_live_decay, double alpha,
-                          KernelVariant variant, double* out) {
+                          double total_live_decay, double alpha, double* out) {
 #if defined(MBTS_HAVE_AVX2)
   if (avx2_active()) {
-    avx2::first_reward_combine(cols, a, b, c, total_live_decay, alpha, variant,
-                               out);
+    avx2::first_reward_combine(cols, a, b, c, total_live_decay, alpha, out);
     return;
   }
 #endif
-  portable::first_reward_combine(cols, a, b, c, total_live_decay, alpha,
-                                 variant, out);
+  portable::first_reward_combine(cols, a, b, c, total_live_decay, alpha, out);
 }
 
 }  // namespace mbts::kernels

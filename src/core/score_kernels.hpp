@@ -1,8 +1,8 @@
 // Flat-array scoring kernels over `ScoreColumns` (Eqs. 3–6 across the
 // whole pending set per dispatch).
 //
-// Contract: in KernelVariant::kExact every element runs the *same
-// operation order* as the scalar policy code (`unit_gain`,
+// Contract: every element runs the *same operation order* as the scalar
+// policy code (`unit_gain`,
 // `present_value`, `decay_at_delay`, `FirstRewardPolicy::make_cache` /
 // `priority_from_cache` for single-segment value functions), so outputs
 // are bit-identical to the scalar path — pinned by test_score_kernels and
@@ -66,20 +66,18 @@ inline double linear_decay(double d, double rate, double expire) {
 
 /// FirstPrice: yield / (rpt * width) per slot.
 void unit_gain_scores(const ScoreColumnsView& cols, double now,
-                      bool at_completion, KernelVariant variant, double* out);
+                      bool at_completion, double* out);
 
 /// PresentValue: yield / (1 + discount_rate * rpt) / (rpt * width).
 void present_value_scores(const ScoreColumnsView& cols, double now,
                           double discount_rate, bool at_completion,
-                          KernelVariant variant, double* out);
+                          double* out);
 
 /// SWPT: current decay weight / rpt.
-void swpt_scores(const ScoreColumnsView& cols, double now,
-                 KernelVariant variant, double* out);
+void swpt_scores(const ScoreColumnsView& cols, double now, double* out);
 
 /// FirstReward cache terms (`ScoreCache` columns): a = alpha * PV(yield),
-/// b = own live decay at now, c = rpt * width. Always exact — under kFast
-/// only the combine step below switches to reciprocal multiplies.
+/// b = own live decay at now, c = rpt * width.
 void first_reward_cache(const ScoreColumnsView& cols, double now,
                         double discount_rate, double alpha, bool at_completion,
                         double* a, double* b, double* c);
@@ -88,44 +86,39 @@ void first_reward_cache(const ScoreColumnsView& cols, double now,
 /// (a - (1-alpha) * max(total_live_decay - b, 0) * rpt) / c.
 void first_reward_combine(const ScoreColumnsView& cols, const double* a,
                           const double* b, const double* c,
-                          double total_live_decay, double alpha,
-                          KernelVariant variant, double* out);
+                          double total_live_decay, double alpha, double* out);
 
 /// Portable reference loops (what the dispatcher falls back to). Exposed
 /// so tests can pin dispatched == portable bit-equality on AVX2 hosts.
 namespace portable {
 void unit_gain_scores(const ScoreColumnsView& cols, double now,
-                      bool at_completion, KernelVariant variant, double* out);
+                      bool at_completion, double* out);
 void present_value_scores(const ScoreColumnsView& cols, double now,
                           double discount_rate, bool at_completion,
-                          KernelVariant variant, double* out);
-void swpt_scores(const ScoreColumnsView& cols, double now,
-                 KernelVariant variant, double* out);
+                          double* out);
+void swpt_scores(const ScoreColumnsView& cols, double now, double* out);
 void first_reward_cache(const ScoreColumnsView& cols, double now,
                         double discount_rate, double alpha, bool at_completion,
                         double* a, double* b, double* c);
 void first_reward_combine(const ScoreColumnsView& cols, const double* a,
                           const double* b, const double* c,
-                          double total_live_decay, double alpha,
-                          KernelVariant variant, double* out);
+                          double total_live_decay, double alpha, double* out);
 }  // namespace portable
 
 #if defined(MBTS_HAVE_AVX2)
 namespace avx2 {
 void unit_gain_scores(const ScoreColumnsView& cols, double now,
-                      bool at_completion, KernelVariant variant, double* out);
+                      bool at_completion, double* out);
 void present_value_scores(const ScoreColumnsView& cols, double now,
                           double discount_rate, bool at_completion,
-                          KernelVariant variant, double* out);
-void swpt_scores(const ScoreColumnsView& cols, double now,
-                 KernelVariant variant, double* out);
+                          double* out);
+void swpt_scores(const ScoreColumnsView& cols, double now, double* out);
 void first_reward_cache(const ScoreColumnsView& cols, double now,
                         double discount_rate, double alpha, bool at_completion,
                         double* a, double* b, double* c);
 void first_reward_combine(const ScoreColumnsView& cols, const double* a,
                           const double* b, const double* c,
-                          double total_live_decay, double alpha,
-                          KernelVariant variant, double* out);
+                          double total_live_decay, double alpha, double* out);
 }  // namespace avx2
 #endif
 

@@ -43,7 +43,7 @@ inline __m256d linear_decay4(__m256d d, __m256d rate, __m256d expire) {
   return _mm256_andnot_pd(_mm256_cmp_pd(d, expire, _CMP_GE_OQ), rate);
 }
 
-template <bool AtCompletion, bool Fast>
+template <bool AtCompletion>
 void unit_gain_loop(const ScoreColumnsView& cols, double now, double* out) {
   const __m256d vnow = _mm256_set1_pd(now);
   std::size_t i = 0;
@@ -56,21 +56,19 @@ void unit_gain_loop(const ScoreColumnsView& cols, double now, double* out) {
     const __m256d y = linear_yield4(d, _mm256_loadu_pd(cols.max_value + i),
                                     _mm256_loadu_pd(cols.rate + i),
                                     _mm256_loadu_pd(cols.neg_bound + i));
-    const __m256d r = Fast
-                          ? _mm256_mul_pd(y, _mm256_loadu_pd(cols.inv_rptw + i))
-                          : _mm256_div_pd(y, _mm256_loadu_pd(cols.rptw + i));
-    _mm256_storeu_pd(out + i, r);
+    _mm256_storeu_pd(out + i,
+                     _mm256_div_pd(y, _mm256_loadu_pd(cols.rptw + i)));
   }
   for (; i < cols.n; ++i) {
     const double completion = AtCompletion ? now + cols.rpt[i] : now;
     const double d = detail::clamped_delay(completion, cols.anchor[i]);
     const double y = detail::linear_yield(d, cols.max_value[i], cols.rate[i],
                                           cols.neg_bound[i]);
-    out[i] = Fast ? y * cols.inv_rptw[i] : y / cols.rptw[i];
+    out[i] = y / cols.rptw[i];
   }
 }
 
-template <bool AtCompletion, bool Fast>
+template <bool AtCompletion>
 void present_value_loop(const ScoreColumnsView& cols, double now,
                         double discount_rate, double* out) {
   const __m256d vnow = _mm256_set1_pd(now);
@@ -88,10 +86,8 @@ void present_value_loop(const ScoreColumnsView& cols, double now,
                                     _mm256_loadu_pd(cols.neg_bound + i));
     const __m256d pv =
         _mm256_div_pd(y, _mm256_add_pd(one, _mm256_mul_pd(vdr, rpt)));
-    const __m256d r =
-        Fast ? _mm256_mul_pd(pv, _mm256_loadu_pd(cols.inv_rptw + i))
-             : _mm256_div_pd(pv, _mm256_loadu_pd(cols.rptw + i));
-    _mm256_storeu_pd(out + i, r);
+    _mm256_storeu_pd(out + i,
+                     _mm256_div_pd(pv, _mm256_loadu_pd(cols.rptw + i)));
   }
   for (; i < cols.n; ++i) {
     const double completion = AtCompletion ? now + cols.rpt[i] : now;
@@ -99,27 +95,7 @@ void present_value_loop(const ScoreColumnsView& cols, double now,
     const double y = detail::linear_yield(d, cols.max_value[i], cols.rate[i],
                                           cols.neg_bound[i]);
     const double pv = y / (1.0 + discount_rate * cols.rpt[i]);
-    out[i] = Fast ? pv * cols.inv_rptw[i] : pv / cols.rptw[i];
-  }
-}
-
-template <bool Fast>
-void swpt_loop(const ScoreColumnsView& cols, double now, double* out) {
-  const __m256d vnow = _mm256_set1_pd(now);
-  std::size_t i = 0;
-  for (; i + 4 <= cols.n; i += 4) {
-    const __m256d d = clamped_delay4(vnow, _mm256_loadu_pd(cols.anchor + i));
-    const __m256d w = linear_decay4(d, _mm256_loadu_pd(cols.rate + i),
-                                    _mm256_loadu_pd(cols.expire + i));
-    const __m256d r = Fast
-                          ? _mm256_mul_pd(w, _mm256_loadu_pd(cols.inv_rpt + i))
-                          : _mm256_div_pd(w, _mm256_loadu_pd(cols.rpt + i));
-    _mm256_storeu_pd(out + i, r);
-  }
-  for (; i < cols.n; ++i) {
-    const double d = detail::clamped_delay(now, cols.anchor[i]);
-    const double w = detail::linear_decay(d, cols.rate[i], cols.expire[i]);
-    out[i] = Fast ? w * cols.inv_rpt[i] : w / cols.rpt[i];
+    out[i] = pv / cols.rptw[i];
   }
 }
 
@@ -162,64 +138,35 @@ void first_reward_cache_loop(const ScoreColumnsView& cols, double now,
   }
 }
 
-template <bool Fast>
-void first_reward_combine_loop(const ScoreColumnsView& cols, const double* a,
-                               const double* b, const double* c, double total,
-                               double weight, double* out) {
-  const __m256d vtotal = _mm256_set1_pd(total);
-  const __m256d vweight = _mm256_set1_pd(weight);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= cols.n; i += 4) {
-    const __m256d others = _mm256_sub_pd(vtotal, _mm256_loadu_pd(b + i));
-    const __m256d cost = _mm256_mul_pd(_mm256_max_pd(zero, others),
-                                       _mm256_loadu_pd(cols.rpt + i));
-    const __m256d num =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_mul_pd(vweight, cost));
-    const __m256d r =
-        Fast ? _mm256_mul_pd(num, _mm256_loadu_pd(cols.inv_rptw + i))
-             : _mm256_div_pd(num, _mm256_loadu_pd(c + i));
-    _mm256_storeu_pd(out + i, r);
-  }
-  for (; i < cols.n; ++i) {
-    const double others = total - b[i];
-    const double cost = (others < 0.0 ? 0.0 : others) * cols.rpt[i];
-    const double num = a[i] - weight * cost;
-    out[i] = Fast ? num * cols.inv_rptw[i] : num / c[i];
-  }
-}
-
 }  // namespace
 
 void unit_gain_scores(const ScoreColumnsView& cols, double now,
-                      bool at_completion, KernelVariant variant, double* out) {
-  const bool fast = variant == KernelVariant::kFast;
-  if (at_completion) {
-    fast ? unit_gain_loop<true, true>(cols, now, out)
-         : unit_gain_loop<true, false>(cols, now, out);
-  } else {
-    fast ? unit_gain_loop<false, true>(cols, now, out)
-         : unit_gain_loop<false, false>(cols, now, out);
-  }
+                      bool at_completion, double* out) {
+  at_completion ? unit_gain_loop<true>(cols, now, out)
+                : unit_gain_loop<false>(cols, now, out);
 }
 
 void present_value_scores(const ScoreColumnsView& cols, double now,
                           double discount_rate, bool at_completion,
-                          KernelVariant variant, double* out) {
-  const bool fast = variant == KernelVariant::kFast;
-  if (at_completion) {
-    fast ? present_value_loop<true, true>(cols, now, discount_rate, out)
-         : present_value_loop<true, false>(cols, now, discount_rate, out);
-  } else {
-    fast ? present_value_loop<false, true>(cols, now, discount_rate, out)
-         : present_value_loop<false, false>(cols, now, discount_rate, out);
-  }
+                          double* out) {
+  at_completion ? present_value_loop<true>(cols, now, discount_rate, out)
+                : present_value_loop<false>(cols, now, discount_rate, out);
 }
 
-void swpt_scores(const ScoreColumnsView& cols, double now,
-                 KernelVariant variant, double* out) {
-  variant == KernelVariant::kFast ? swpt_loop<true>(cols, now, out)
-                                  : swpt_loop<false>(cols, now, out);
+void swpt_scores(const ScoreColumnsView& cols, double now, double* out) {
+  const __m256d vnow = _mm256_set1_pd(now);
+  std::size_t i = 0;
+  for (; i + 4 <= cols.n; i += 4) {
+    const __m256d d = clamped_delay4(vnow, _mm256_loadu_pd(cols.anchor + i));
+    const __m256d w = linear_decay4(d, _mm256_loadu_pd(cols.rate + i),
+                                    _mm256_loadu_pd(cols.expire + i));
+    _mm256_storeu_pd(out + i, _mm256_div_pd(w, _mm256_loadu_pd(cols.rpt + i)));
+  }
+  for (; i < cols.n; ++i) {
+    const double d = detail::clamped_delay(now, cols.anchor[i]);
+    const double w = detail::linear_decay(d, cols.rate[i], cols.expire[i]);
+    out[i] = w / cols.rpt[i];
+  }
 }
 
 void first_reward_cache(const ScoreColumnsView& cols, double now,
@@ -233,14 +180,26 @@ void first_reward_cache(const ScoreColumnsView& cols, double now,
 
 void first_reward_combine(const ScoreColumnsView& cols, const double* a,
                           const double* b, const double* c,
-                          double total_live_decay, double alpha,
-                          KernelVariant variant, double* out) {
+                          double total_live_decay, double alpha, double* out) {
   const double weight = 1.0 - alpha;
-  variant == KernelVariant::kFast
-      ? first_reward_combine_loop<true>(cols, a, b, c, total_live_decay,
-                                        weight, out)
-      : first_reward_combine_loop<false>(cols, a, b, c, total_live_decay,
-                                         weight, out);
+  const __m256d vtotal = _mm256_set1_pd(total_live_decay);
+  const __m256d vweight = _mm256_set1_pd(weight);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= cols.n; i += 4) {
+    const __m256d others = _mm256_sub_pd(vtotal, _mm256_loadu_pd(b + i));
+    const __m256d cost = _mm256_mul_pd(_mm256_max_pd(zero, others),
+                                       _mm256_loadu_pd(cols.rpt + i));
+    const __m256d num =
+        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_mul_pd(vweight, cost));
+    _mm256_storeu_pd(out + i, _mm256_div_pd(num, _mm256_loadu_pd(c + i)));
+  }
+  for (; i < cols.n; ++i) {
+    const double others = total_live_decay - b[i];
+    const double cost = (others < 0.0 ? 0.0 : others) * cols.rpt[i];
+    const double num = a[i] - weight * cost;
+    out[i] = num / c[i];
+  }
 }
 
 }  // namespace mbts::kernels::avx2

@@ -9,6 +9,17 @@
 
 namespace mbts {
 
+std::optional<std::uint64_t> parse_uint(std::string_view text) {
+  std::uint64_t v = 0;
+  // from_chars<uint64_t> rejects a leading '-' outright; requiring ptr to
+  // reach the end rejects trailing junk.
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || ptr != text.data() + text.size())
+    return std::nullopt;
+  return v;
+}
+
 void CliParser::add_flag(const std::string& name,
                          const std::string& default_value,
                          const std::string& help) {
@@ -109,13 +120,10 @@ std::int64_t CliParser::get_int(const std::string& name) const {
 
 std::uint64_t CliParser::get_uint(const std::string& name) const {
   const std::string s = get_string(name);
-  std::uint64_t v = 0;
-  // from_chars<uint64_t> rejects a leading '-' outright, so --jobs=-1 is a
-  // loud usage error here instead of a 2^64 wraparound at the call site.
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  MBTS_CHECK_MSG(ec == std::errc() && ptr == s.data() + s.size(),
+  const std::optional<std::uint64_t> v = parse_uint(s);
+  MBTS_CHECK_MSG(v.has_value(),
                  "flag --" + name + " must be a non-negative integer: " + s);
-  return v;
+  return *v;
 }
 
 bool CliParser::get_bool(const std::string& name) const {

@@ -9,9 +9,17 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mbts {
+
+/// Parses a whole token as a non-negative decimal integer. Rejects a
+/// leading '-', trailing junk ("2x"), overflow and the empty string, so a
+/// count flag never wraps to ~2^64 or silently drops characters the way
+/// std::stoull does. The rule behind CliParser::get_uint, exposed for
+/// tools that parse argv by hand.
+std::optional<std::uint64_t> parse_uint(std::string_view text);
 
 class CliParser {
  public:

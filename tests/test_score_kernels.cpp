@@ -1,14 +1,12 @@
 // SoA batch-scoring kernel properties (see src/core/score_kernels.hpp):
 //
-//  - kExact bit-identity: for every kernelizable policy, the columnwise
+//  - Bit-identity: for every kernelizable policy, the columnwise
 //    kernel_make_cache / kernel_priority pair reproduces the scalar
 //    make_cache / priority_from_cache / priority chain bit-for-bit over
 //    randomized populations salted with the nasty inputs (denormal and
 //    zero decay, huge decay, negative slack, infinite penalty bounds).
 //  - Dispatch equivalence: the runtime-dispatched entry points (AVX2 when
 //    the host has it) agree bitwise with the portable reference loops.
-//  - kFast ulp contract: the reciprocal-multiply variant stays within a
-//    few ulp of kExact and never manufactures a NaN.
 //  - ScoreColumns bookkeeping: push / swap_erase mirror a naive queue
 //    model slot-for-slot under random churn.
 //  - Whole-run identity: a full simulation with kernels on equals the
@@ -66,8 +64,7 @@ Task make_task(TaskId id, double arrival, double runtime, double value,
 /// the kernels must not mangle: denormal / zero / huge decay rates,
 /// negative slack (now far past the anchor), unbounded (-inf floor) and
 /// zero-bound functions, wide tasks, sub-unit rpt.
-Population edge_population(std::uint64_t seed, std::size_t n,
-                           bool fast_safe = false) {
+Population edge_population(std::uint64_t seed, std::size_t n) {
   Xoshiro256 rng(seed);
   Population pop;
   for (std::size_t i = 0; i < n; ++i) {
@@ -83,10 +80,8 @@ Population edge_population(std::uint64_t seed, std::size_t n,
       case 3: decay = 1e4; break;                    // expires ~instantly
       case 4:
         // Denormal decay: the yield line is numerically flat but every
-        // intermediate must stay a number. kFast multiplies by 1/rptw, so
-        // its denormal products are allowed to differ in the last ulps —
-        // keep the fast-variant population in the normal range instead.
-        if (!fast_safe) decay = 5e-324;
+        // intermediate must stay a number.
+        decay = 5e-324;
         break;
       default: break;
     }
@@ -119,30 +114,16 @@ MixView mix_at(double now, double discount = 0.01,
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Monotone sign-magnitude key: adjacent doubles (across +/-0 too) map to
-/// adjacent keys, so ulp distance is plain integer distance.
-std::uint64_t ulp_key(double x) {
-  const std::uint64_t u = bits(x);
-  return (u & 0x8000000000000000ull) ? ~u : (u | 0x8000000000000000ull);
-}
-
-std::uint64_t ulp_distance(double a, double b) {
-  const std::uint64_t ka = ulp_key(a);
-  const std::uint64_t kb = ulp_key(b);
-  return ka > kb ? ka - kb : kb - ka;
-}
-
 /// Runs the policy's kernel pair (make_cache + priority) over the columns.
 std::vector<double> kernel_scores(const SchedulingPolicy& policy,
-                                  Population& pop, const MixView& mix,
-                                  KernelVariant variant) {
+                                  Population& pop, const MixView& mix) {
   ScoreColumns& cols = pop.columns;
   const ScoreColumnsView view = cols.view();
-  policy.kernel_make_cache(view, mix, variant, cols.cache_a(), cols.cache_b(),
+  policy.kernel_make_cache(view, mix, cols.cache_a(), cols.cache_b(),
                            cols.cache_c());
   std::vector<double> out(view.n);
   policy.kernel_priority(view, cols.cache_a(), cols.cache_b(), cols.cache_c(),
-                         mix, variant, out.data());
+                         mix, out.data());
   return out;
 }
 
@@ -191,8 +172,7 @@ TEST(ScoreKernels, ExactVariantMatchesScalarBitwise) {
       // anchors (the last one drives every slack negative).
       for (double now : {0.0, 40.0, 1e4}) {
         const MixView mix = mix_at(now);
-        const auto kernel =
-            kernel_scores(*policy, pop, mix, KernelVariant::kExact);
+        const auto kernel = kernel_scores(*policy, pop, mix);
         const auto scalar = scalar_scores(*policy, pop, mix);
         for (std::size_t i = 0; i < kernel.size(); ++i) {
           ASSERT_EQ(bits(kernel[i]), bits(scalar[i]))
@@ -212,7 +192,7 @@ TEST(ScoreKernels, BoundedMixFallsBackToScalarLane) {
   const FirstRewardPolicy policy(0.5);
   Population pop = edge_population(21, 64);
   const MixView mix = mix_at(30.0, 0.01, 5.0, /*any_bounded=*/true);
-  const auto kernel = kernel_scores(policy, pop, mix, KernelVariant::kExact);
+  const auto kernel = kernel_scores(policy, pop, mix);
   const auto scalar = scalar_scores(policy, pop, mix);
   for (std::size_t i = 0; i < kernel.size(); ++i)
     EXPECT_EQ(bits(kernel[i]), bits(scalar[i])) << "slot " << i;
@@ -237,7 +217,7 @@ TEST(ScoreKernels, BaseClassDefaultsFallBackToScalarPriority) {
   const DefaultKernelPolicy policy;
   Population pop = edge_population(51, 97);
   const MixView mix = mix_at(12.0);
-  const auto kernel = kernel_scores(policy, pop, mix, KernelVariant::kExact);
+  const auto kernel = kernel_scores(policy, pop, mix);
   for (std::size_t i = 0; i < kernel.size(); ++i)
     EXPECT_EQ(bits(kernel[i]),
               bits(policy.priority(pop.tasks[i], pop.rpts[i], mix)))
@@ -256,72 +236,44 @@ TEST(ScoreKernels, DispatchedMatchesPortableBitwise) {
   const ScoreColumnsView view = pop.columns.view();
   const std::size_t n = view.n;
   std::vector<double> a(n), b(n), c(n), pa(n), pb(n), pc(n), out(n), pout(n);
-  for (const auto variant : {KernelVariant::kExact, KernelVariant::kFast}) {
-    for (const bool at_completion : {true, false}) {
-      for (const double now : {0.0, 55.0}) {
-        kernels::unit_gain_scores(view, now, at_completion, variant,
-                                  out.data());
-        kernels::portable::unit_gain_scores(view, now, at_completion, variant,
-                                            pout.data());
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(out[i]), bits(pout[i])) << "unit_gain slot " << i;
+  for (const bool at_completion : {true, false}) {
+    for (const double now : {0.0, 55.0}) {
+      kernels::unit_gain_scores(view, now, at_completion, out.data());
+      kernels::portable::unit_gain_scores(view, now, at_completion,
+                                          pout.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[i]), bits(pout[i])) << "unit_gain slot " << i;
 
-        kernels::present_value_scores(view, now, 0.01, at_completion, variant,
-                                      out.data());
-        kernels::portable::present_value_scores(view, now, 0.01, at_completion,
-                                                variant, pout.data());
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(out[i]), bits(pout[i])) << "pv slot " << i;
+      kernels::present_value_scores(view, now, 0.01, at_completion,
+                                    out.data());
+      kernels::portable::present_value_scores(view, now, 0.01, at_completion,
+                                              pout.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[i]), bits(pout[i])) << "pv slot " << i;
 
-        kernels::swpt_scores(view, now, variant, out.data());
-        kernels::portable::swpt_scores(view, now, variant, pout.data());
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(out[i]), bits(pout[i])) << "swpt slot " << i;
+      kernels::swpt_scores(view, now, out.data());
+      kernels::portable::swpt_scores(view, now, pout.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[i]), bits(pout[i])) << "swpt slot " << i;
 
-        kernels::first_reward_cache(view, now, 0.01, 0.5, at_completion,
-                                    a.data(), b.data(), c.data());
-        kernels::portable::first_reward_cache(view, now, 0.01, 0.5,
-                                              at_completion, pa.data(),
-                                              pb.data(), pc.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(bits(a[i]), bits(pa[i])) << "fr cache a slot " << i;
-          ASSERT_EQ(bits(b[i]), bits(pb[i])) << "fr cache b slot " << i;
-          ASSERT_EQ(bits(c[i]), bits(pc[i])) << "fr cache c slot " << i;
-        }
-
-        kernels::first_reward_combine(view, a.data(), b.data(), c.data(), 9.5,
-                                      0.5, variant, out.data());
-        kernels::portable::first_reward_combine(view, pa.data(), pb.data(),
-                                                pc.data(), 9.5, 0.5, variant,
-                                                pout.data());
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(bits(out[i]), bits(pout[i])) << "fr combine slot " << i;
+      kernels::first_reward_cache(view, now, 0.01, 0.5, at_completion,
+                                  a.data(), b.data(), c.data());
+      kernels::portable::first_reward_cache(view, now, 0.01, 0.5,
+                                            at_completion, pa.data(),
+                                            pb.data(), pc.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(a[i]), bits(pa[i])) << "fr cache a slot " << i;
+        ASSERT_EQ(bits(b[i]), bits(pb[i])) << "fr cache b slot " << i;
+        ASSERT_EQ(bits(c[i]), bits(pc[i])) << "fr cache c slot " << i;
       }
-    }
-  }
-}
 
-// --- kFast ulp contract -------------------------------------------------
-
-TEST(ScoreKernels, FastVariantWithinUlpBound) {
-  // Reciprocal multiply replaces at most two divisions per score; each is
-  // a correctly-rounded value fed through one extra rounding, so the
-  // documented tolerance (DESIGN.md §6) is a handful of ulps.
-  constexpr std::uint64_t kMaxUlps = 8;
-  for (const auto& policy : kernel_policies()) {
-    Population pop = edge_population(41, 180, /*fast_safe=*/true);
-    for (double now : {0.0, 35.0}) {
-      const MixView mix = mix_at(now);
-      const auto exact =
-          kernel_scores(*policy, pop, mix, KernelVariant::kExact);
-      const auto fast = kernel_scores(*policy, pop, mix, KernelVariant::kFast);
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        ASSERT_FALSE(std::isnan(fast[i]))
-            << policy->name() << " kFast slot " << i;
-        EXPECT_LE(ulp_distance(exact[i], fast[i]), kMaxUlps)
-            << policy->name() << " slot " << i << ": exact " << exact[i]
-            << " fast " << fast[i];
-      }
+      kernels::first_reward_combine(view, a.data(), b.data(), c.data(), 9.5,
+                                    0.5, out.data());
+      kernels::portable::first_reward_combine(view, pa.data(), pb.data(),
+                                              pc.data(), 9.5, 0.5,
+                                              pout.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits(out[i]), bits(pout[i])) << "fr combine slot " << i;
     }
   }
 }
@@ -436,23 +388,6 @@ TEST(ScoreKernels, WholeRunBitIdenticalToScalarPath) {
           policy.to_string() + (piecewise ? " piecewise" : " linear"));
     }
   }
-}
-
-TEST(ScoreKernels, FastVariantRunCompletesSanely) {
-  // kFast may legitimately flip near-tie rankings, so the run is only
-  // sanity-checked: every task settles and the totals stay finite.
-  Xoshiro256 rng(2027);
-  const Trace trace = generate_trace(run_spec(false), rng);
-  const PolicySpec policy{.kind = PolicySpec::Kind::kFirstReward};
-  const RunStats stats = run_with(trace, policy, ScoreKernelMode::kFast);
-  EXPECT_EQ(stats.submitted, 500u);
-  EXPECT_EQ(stats.completed + stats.dropped + stats.rejected + stats.failed,
-            stats.submitted);
-  EXPECT_TRUE(std::isfinite(stats.total_yield));
-  // And it should land close to the exact-kernel run.
-  const RunStats exact = run_with(trace, policy, ScoreKernelMode::kExact);
-  EXPECT_NEAR(stats.total_yield, exact.total_yield,
-              1e-6 * std::abs(exact.total_yield) + 1e-6);
 }
 
 }  // namespace

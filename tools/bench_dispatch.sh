@@ -15,7 +15,10 @@
 # Each case runs 5 times and the JSON keeps only the median and
 # coefficient-of-variation aggregate rows: one run of a case is not a
 # measurement on a shared host, and tools/bench_compare.py reads the CV to
-# tell a change from the case's own spread.
+# tell a change from the case's own spread. Both benchmarks are
+# single-threaded, so when taskset is available they run pinned to the last
+# CPU this script may use, keeping the scheduler from migrating them
+# between cores mid-case.
 #
 # Usage: tools/bench_dispatch.sh [build_dir] (default: build-bench)
 set -euo pipefail
@@ -43,11 +46,22 @@ require_release() {
   fi
 }
 
-"$BUILD/bench/micro_schedule" \
+PIN=()
+if command -v taskset >/dev/null; then
+  # Last id of this process's affinity list ("0-3" -> 3, "0,2,5-7" -> 7).
+  CPU="$(taskset -pc $$ | sed 's/.*: //' | tr ',' '\n' | tail -n 1 |
+    sed 's/.*-//')"
+  PIN=(taskset -c "$CPU")
+  echo "pinning micro_schedule and micro_event_queue to CPU $CPU"
+else
+  echo "taskset not found: running unpinned"
+fi
+
+"${PIN[@]}" "$BUILD/bench/micro_schedule" \
   --benchmark_filter='BM_CompletionOf|BM_DispatchBacklog|BM_DispatchBurst|BM_QuoteBacklog' \
   "${REPEAT[@]}" \
   --benchmark_out="$TMP/schedule.json" --benchmark_out_format=json
-"$BUILD/bench/micro_event_queue" \
+"${PIN[@]}" "$BUILD/bench/micro_event_queue" \
   --benchmark_filter='BM_CancelHeavyChurn|BM_RunUntilStrided' \
   "${REPEAT[@]}" \
   --benchmark_out="$TMP/event_queue.json" --benchmark_out_format=json

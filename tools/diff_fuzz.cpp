@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "oracle/diff.hpp"
+#include "util/cli.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -216,10 +218,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto next_uint = [&]() -> std::uint64_t {
+      const char* text = next();
+      const std::optional<std::uint64_t> value = mbts::parse_uint(text);
+      if (!value) {
+        std::cerr << arg << " must be a non-negative integer: " << text
+                  << "\n";
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--scenarios") {
-      scenarios = std::stoull(next());
+      scenarios = next_uint();
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = next_uint();
     } else if (arg == "--replay") {
       replay = next();
     } else if (arg == "--self-test") {

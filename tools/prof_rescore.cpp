@@ -2,9 +2,10 @@
 // dispatch burst the `highload100k_*` fingerprint lines pin, run once per
 // score-kernel mode with the scoped profiler enabled. The flat scope table
 // (the Profiler's flamegraph view: every MBTS_PROF_SCOPE with calls, total
-// time, and mean) shows where the burst spends its time before and after
-// the SoA kernels take the rescore — `scheduler/rescore` (the scalar
-// per-task path) versus `scheduler/kernel_rescore` (the batched SoA path).
+// time, and mean) shows where the burst spends its time on the scalar
+// reference path (kOff: `scheduler/rescore` scores each task through its
+// ScoreCache) and on the kernels (kExact: `scheduler/kernel_rescore`, the
+// batched SoA path).
 // A third table profiles a whole market run: the Fig. 1 trio at about 1.5x
 // its capacity (perfbench batch_overload's shape: admission_mix at load 4,
 // 12000 bids), split into
@@ -15,8 +16,10 @@
 // Usage: prof_rescore [--tasks N] (burst size, default 100000; the market
 // run is fixed)
 #include <cstddef>
+#include <cstdint>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "obs/profile.hpp"
 #include "serve/preset.hpp"
 #include "sim/engine.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/presets.hpp"
@@ -101,7 +105,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--tasks" && i + 1 < argc) {
-      n = std::stoull(argv[++i]);
+      const std::optional<std::uint64_t> value = parse_uint(argv[++i]);
+      if (!value) {
+        std::cerr << "--tasks must be a non-negative integer: " << argv[i]
+                  << "\n";
+        return 2;
+      }
+      n = *value;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: prof_rescore [--tasks N]\n";
       return 0;
@@ -110,10 +120,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Before: the scalar per-task cache path (kernels off).
-  profile_mode(n, ScoreKernelMode::kOff, "before: score_kernels=kOff");
-  // After: the SoA batch kernels (the scheduler default).
-  profile_mode(n, ScoreKernelMode::kExact, "after: score_kernels=kExact");
+  profile_mode(n, ScoreKernelMode::kOff, "scalar reference (kOff)");
+  // The scheduler default.
+  profile_mode(n, ScoreKernelMode::kExact, "kernels (kExact)");
   profile_market();
   return 0;
 }
